@@ -480,9 +480,10 @@ int main(int argc, char** argv) {
   const telemetry::Environment env = telemetry::collect_environment();
   const telemetry::Snapshot run_after = telemetry::snapshot();
   const std::size_t threads = ThreadPool::global().thread_count();
-  const bool simd = core::microkernel_simd_active();
-  const char* variant_name =
-      core::mk_variant_name(core::mk_variant_resolve(core::MkVariant::kAuto));
+  const core::MkVariant variant =
+      core::mk_variant_resolve(core::MkVariant::kAuto);
+  const bool simd = variant != core::MkVariant::kScalar;
+  const char* variant_name = core::mk_variant_name(variant);
   // Whole-run pool utilization: busy worker-nanoseconds over wall
   // nanoseconds summed across every parallel_for (any pool), scaled by
   // the global pool width. > 1 is possible when dedicated sweep pools

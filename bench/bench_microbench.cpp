@@ -1,11 +1,19 @@
 // google-benchmark microbenchmarks of the functional model's hot
 // paths: the hardware split, dot-product steps in each mode, the exact
-// accumulator, and the GEMM-based FFT. These measure the *simulation*
-// library itself (host throughput of the bit-exact model), useful when
-// sizing functional experiments.
+// accumulator, the register-blocked microkernel, and the GEMM-based
+// FFT. These measure the *simulation* library itself (host throughput
+// of the bit-exact model), useful when sizing functional experiments.
+//
+//   ./bench_microbench --benchmark_filter=MicrokernelBlock
+//
+// reports the microkernel's ns_per_mac per dtype x block shape x
+// variant (K = 512, one thread), the figure that decides whether a
+// SIMD variant or block shape pays.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <complex>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -14,6 +22,8 @@
 #include "core/multi_part.hpp"
 #include "core/outer_product.hpp"
 #include "core/mxu.hpp"
+#include "core/microkernel.hpp"
+#include "core/packed_panel.hpp"
 #include "fft/gemm_fft.hpp"
 #include "gemm/tiled_driver.hpp"
 #include "fp/exact_accumulator.hpp"
@@ -210,6 +220,73 @@ void BM_TiledSgemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_TiledSgemm);
+
+/// One microkernel block over K = 512: args are (complex, block edge
+/// 4 or 8, MkVariant). C resets every call so it never overflows into
+/// the Inf route. Reports ns_per_mac (a complex MAC counts as 4).
+void BM_MicrokernelBlock(benchmark::State& state) {
+  const bool complex = state.range(0) != 0;
+  const int edge = static_cast<int>(state.range(1));
+  const auto variant = static_cast<core::MkVariant>(state.range(2));
+  if (!core::mk_variant_available(variant)) {
+    state.SkipWithError("variant unavailable on this host");
+    return;
+  }
+  constexpr int k = 512;
+  core::M3xuConfig cfg;
+  cfg.mk_variant = variant;
+  cfg.mk_mr = edge;
+  cfg.mk_nr = edge;
+  const core::M3xuEngine engine(cfg);
+  Rng rng(14);
+  double macs = static_cast<double>(edge) * edge * k;
+  if (complex) {
+    std::vector<std::complex<float>> a(edge * k), b(k * edge);
+    for (auto& v : a) v = {rng.scaled_float(), rng.scaled_float()};
+    for (auto& v : b) v = {rng.scaled_float(), rng.scaled_float()};
+    core::PackedPanelFp32cA pa;
+    core::PackedPanelFp32cB pb;
+    core::pack_fp32c_a(a.data(), k, edge, k, pa);
+    core::pack_fp32c_b(b.data(), edge, k, edge, pb);
+    std::vector<std::complex<float>> c(edge * edge);
+    for (auto _ : state) {
+      std::fill(c.begin(), c.end(), std::complex<float>{});
+      engine.gemm_fp32c_prepacked(pa, 0, pb, 0, edge, edge, c.data(), edge);
+      benchmark::DoNotOptimize(c.data());
+      benchmark::ClobberMemory();
+    }
+    macs *= 4;
+  } else {
+    std::vector<float> a(edge * k), b(k * edge);
+    for (auto& v : a) v = rng.scaled_float();
+    for (auto& v : b) v = rng.scaled_float();
+    core::PackedPanelFp32A pa;
+    core::PackedPanelFp32B pb;
+    core::pack_fp32_a(a.data(), k, edge, k, pa);
+    core::pack_fp32_b(b.data(), edge, k, edge, pb);
+    std::vector<float> c(edge * edge);
+    for (auto _ : state) {
+      std::fill(c.begin(), c.end(), 0.0f);
+      engine.gemm_fp32_prepacked(pa, 0, pb, 0, edge, edge, c.data(), edge);
+      benchmark::DoNotOptimize(c.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetLabel(std::string(complex ? "cgemm " : "sgemm ") +
+                 std::to_string(edge) + "x" + std::to_string(edge) + " " +
+                 core::mk_variant_name(variant));
+  // Inverted iteration-invariant rate: seconds per (macs * 1e-9) = ns/MAC.
+  state.counters["ns_per_mac"] = benchmark::Counter(
+      macs * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MicrokernelBlock)
+    ->ArgsProduct({{0, 1},
+                   {4, 8},
+                   {static_cast<int>(core::MkVariant::kScalar),
+                    static_cast<int>(core::MkVariant::kAvx2),
+                    static_cast<int>(core::MkVariant::kAvx512)}});
 
 }  // namespace
 

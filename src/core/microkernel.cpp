@@ -1,11 +1,12 @@
 #include "core/microkernel.hpp"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <span>
 #include <string_view>
+#include <type_traits>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
@@ -17,6 +18,19 @@
 
 #ifdef M3XU_ENABLE_SIMD
 #include <immintrin.h>
+
+// The one feature list of the AVX-512 lane body: it expands both into
+// the body's target region and into the runtime CPU check, so the two
+// cannot drift. avx512cd brings vplzcntq; avx512vl the masked 256-bit
+// forms the 4-lane (NR = 4) body uses.
+#define M3XU_AVX512_ISA(FIRST, NEXT) \
+  FIRST("avx2") NEXT("avx512f") NEXT("avx512cd") NEXT("avx512vl")
+#define M3XU_ISA_NAME(s) s
+#define M3XU_ISA_NAME_NEXT(s) , s
+#define M3XU_ISA_HAS(s) __builtin_cpu_supports(s)
+#define M3XU_ISA_HAS_NEXT(s) &&__builtin_cpu_supports(s)
+#define M3XU_PRAGMA(x) _Pragma(#x)
+#define M3XU_TARGET_REGION(...) M3XU_PRAGMA(GCC target(__VA_ARGS__))
 #endif
 
 namespace m3xu::core {
@@ -25,9 +39,12 @@ namespace {
 
 // Route counters (no-ops when M3XU_TELEMETRY=OFF). Increments are
 // accumulated in block-local variables and flushed once per block so
-// the pair loop stays free of TLS lookups. block_elements counts the
+// the lane loops stay free of TLS lookups. block_elements counts the
 // output elements a block covered (blocks alone no longer determine
-// that now that the register-block shape varies).
+// that now that the register-block shape varies). pair_fallbacks
+// counts the (i, j, chunk) triples whose window failed the span check;
+// lanes sent to the generic path only because their register is
+// Inf/NaN are not fallbacks.
 telemetry::Counter uk_fp32_blocks("mxu.fp32.microkernel.blocks");
 telemetry::Counter uk_fp32_elems("mxu.fp32.microkernel.block_elements");
 telemetry::Counter uk_fp32_pairs("mxu.fp32.microkernel.pair_chunks");
@@ -37,7 +54,7 @@ telemetry::Counter uk_fp32c_elems("mxu.fp32c.microkernel.block_elements");
 telemetry::Counter uk_fp32c_pairs("mxu.fp32c.microkernel.pair_chunks");
 telemetry::Counter uk_fp32c_falls("mxu.fp32c.microkernel.pair_fallbacks");
 
-// Dispatch counters: which term-build variant actually ran, per block.
+// Dispatch counters: which variant actually ran, per block.
 telemetry::Counter mk_var_scalar("mk.variant.scalar.blocks");
 telemetry::Counter mk_var_avx2("mk.variant.avx2.blocks");
 telemetry::Counter mk_var_avx512("mk.variant.avx512.blocks");
@@ -67,10 +84,7 @@ bool cpu_has_avx2() {
 
 bool cpu_has_avx512() {
 #ifdef M3XU_ENABLE_SIMD
-  // The 512-bit path also uses 256-bit ops for the 8 x i32 exp/neg
-  // streams, so it requires both feature bits.
-  static const bool ok =
-      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2");
+  static const bool ok = M3XU_AVX512_ISA(M3XU_ISA_HAS, M3XU_ISA_HAS_NEXT);
   return ok;
 #else
   return false;
@@ -147,46 +161,50 @@ MkVariant mk_variant_resolve(MkVariant requested) {
   return MkVariant::kScalar;
 }
 
-bool microkernel_simd_active() {
-  return mk_variant_resolve(MkVariant::kAuto) != MkVariant::kScalar;
-}
-
 bool mk_block_supported(int mr, int nr) {
   return (mr == 4 && nr == 4) || (mr == 6 && nr == 8) || (mr == 8 && nr == 8);
 }
 
-MkBlockShape mk_block_resolve(int mr, int nr) {
+MkBlockShape mk_block_resolve(int mr, int nr, MkVariant variant) {
   if (mr == 0 && nr == 0) {
-    // With a SIMD term build the decode amortization wins: 8x8 drops
-    // the per-output decode cost to (8+8)/(8*8) = 0.25 decodes per
-    // element-chunk vs 0.5 at 4x4. The scalar variant keeps the small
-    // block (decode is a smaller share of its runtime, and the larger
-    // live accumulator set costs it more).
-    return microkernel_simd_active() ? MkBlockShape{8, 8} : MkBlockShape{4, 4};
+    // A SIMD lane body holds a block row's NR = 8 columns in one or two
+    // vectors, and 8x8 halves the per-output decode cost against 4x4
+    // ((8+8)/(8*8) vs (4+4)/(4*4) decodes per output). The scalar-lane
+    // body spends its time in the per-lane sums, not the decode, and
+    // measures no faster at 8x8, so it keeps the smaller block
+    // (DESIGN.md section 15).
+    return mk_variant_resolve(variant) == MkVariant::kScalar
+               ? MkBlockShape{4, 4}
+               : MkBlockShape{8, 8};
   }
   M3XU_CHECK(mk_block_supported(mr, nr));
   return {mr, nr};
 }
 
+MkBlockShape mk_block_resolve(int mr, int nr) {
+  return mk_block_resolve(mr, nr, MkVariant::kAuto);
+}
+
 namespace {
 
-// --- Element-level operand compaction ---------------------------------
+// --- Operand slots -----------------------------------------------------
 //
 // The two 12-bit parts of one FP32 operand share a sign and differ by
-// exactly 2^12 in lsb weight (fp/split.hpp), so an element packs into
-// one 64-bit word ab = hi_sig * 2^32 + lo_sig. One 64x64->128 multiply
-// then yields ALL FOUR partial products of an operand pair at disjoint
-// bit ranges:
+// exactly 2^12 in lsb weight (fp/split.hpp). For one operand pair the
+// four part products give both architectural steps' terms:
 //
-//   ab_a * ab_b = (ah*bh) * 2^64 + (ah*bl + al*bh) * 2^32 + (al*bl)
+//   like-parts step (step 0):  s0 = ah*bh * 2^24 + al*bl   (< 2^48)
+//   crossed step    (step 1):  s1 = ah*bl + al*bh          (< 2^25)
 //
-// (each product is below 2^24 and the crossed sum below 2^25, so the
-// fields cannot carry into each other). The like-parts step (step 0:
-// ah*bh + al*bl) is the top and bottom fields recombined at 24-bit
-// spacing; the crossed step (step 1: ah*bl + al*bh) is the middle
-// field. Both are the exact integers the per-lane path would feed the
-// ExactAccumulator, so the per-step sums - and hence the rounded
+// s0 has lsb weight sh = e_a + e_b - 24 (e = the hi part's exp2) and s1
+// weight sh + 12. Both are the exact integers the per-lane path feeds
+// the ExactAccumulator, so the per-step sums - and hence the rounded
 // registers - are bit-for-bit identical.
+//
+// Exponents are stored relative to the chunk's prescan window
+// (PanelChunkMeta): an A slot holds e_a - min_a - 24, a B slot
+// e_b - min_b, so their sum is a pair's shift above the window floor
+// t_lo = min_a + min_b, in [0, 71] whenever the window span is <= 118.
 
 /// Operand slots per k-chunk: kPackChunkFp32 scalar elements, or
 /// 2 * kPackChunkFp32c component slots (re, im) per complex element.
@@ -194,71 +212,115 @@ constexpr int kMaxSlots = 8;
 static_assert(kMaxSlots == kPackChunkFp32 &&
               kMaxSlots == 2 * kPackChunkFp32c);
 
-/// One decoded operand stream, one slot per scalar (or complex
-/// component) element. Zero slots hold ab = 0 with exp = the chunk's
-/// min anchor + 12, which keeps every alignment shift in-window while
-/// the zero significand contributes nothing to any sum. The 64-bit
-/// streams are 64-byte aligned so the AVX-512 path can use aligned
-/// full-width loads/stores.
-struct ElemSoA {
-  alignas(64) std::uint64_t ab[kMaxSlots];  // hi_sig << 32 | lo_sig
-  alignas(32) std::int32_t exp[kMaxSlots];  // hi-part exp2
-  alignas(32) std::uint32_t neg[kMaxSlots];
+/// Widest window (leading bit over lowest bit) a lane may stream:
+/// with <= 17 addends below 2^(span+1) each, the two's-complement sum
+/// stays under 2^(span+6) <= 2^124, inside the signed 128-bit window.
+constexpr int kMaxSpan = 118;
+
+/// One decoded A row chunk. Zero and tail slots hold zero
+/// significands with the relative exponent of the chunk's min anchor +
+/// 12, which keeps every shift in-window while adding nothing.
+struct ASlots {
+  std::uint64_t hi[kMaxSlots];   // hi part significand (< 2^12)
+  std::uint64_t lo[kMaxSlots];   // lo part significand
+  std::int64_t sh[kMaxSlots];    // e_a - min_a - 24
+  std::uint64_t neg[kMaxSlots];  // 0 or ~0
+  std::int64_t min_exp = 0;
+  std::int64_t max_exp = 0;
+  bool finite = false;
 };
 
-/// One operand pair's partial products for both steps of a register
-/// stream: slot i contributes s0[i] * 2^sh[i] to the like-parts step
-/// and s1[i] * 2^(sh[i]+12) to the crossed step, both with sign
-/// neg[i]. sh is the lsb weight of the pair's combined 48-bit product.
-struct PairTerms {
-  alignas(64) std::uint64_t s0[kMaxSlots];  // ah*bh << 24 | al*bl, < 2^48
-  alignas(64) std::uint64_t s1[kMaxSlots];  // ah*bl + al*bh, < 2^25
-  alignas(32) std::int32_t sh[kMaxSlots];
-  alignas(32) std::uint32_t neg[kMaxSlots];
+/// One chunk of NR decoded B columns, slot-major: [slot][lane] is
+/// column `lane`'s operand at that K slot, so a slot loads as one
+/// vector with one column per lane.
+template <int NR>
+struct BSlots {
+  alignas(64) std::uint64_t hi[kMaxSlots][NR];
+  alignas(64) std::uint64_t lo[kMaxSlots][NR];
+  alignas(64) std::int64_t sh[kMaxSlots][NR];  // e_b - min_b
+  alignas(64) std::uint64_t neg[kMaxSlots][NR];
+  alignas(64) std::int64_t min_exp[NR];
+  alignas(64) std::int64_t max_exp[NR];
+  alignas(64) std::uint64_t finite[NR];  // 0 or ~0
 };
+
+inline bool finite_chunk(const PanelChunkMeta& m) {
+  return (m.flags & PanelChunkMeta::kHasFinite) != 0;
+}
 
 /// Exponent for zero/tail slots: min_exp is an element anchor (hi exp2
 /// minus 12) while slots store the hi exp2, so anchor + 12 is the
 /// smallest exp any finite slot in the chunk carries.
 inline int fill_exp(const PanelChunkMeta& m) {
-  return (m.flags & PanelChunkMeta::kHasFinite) ? m.min_exp + 12 : 0;
+  return finite_chunk(m) ? m.min_exp + 12 : 0;
 }
 
-/// Decodes `ns` element slots from a packed [hi, lo] lane stream (fp32
+struct Slot {
+  std::uint64_t hi = 0;
+  std::uint64_t lo = 0;
+  int exp = 0;
+  std::uint64_t neg = 0;
+};
+
+/// Decodes one element slot from a packed [hi, lo] lane pair (fp32
 /// panels: one slot per element; fp32c panels: the 4-lane quad is two
 /// consecutive [hi, lo] pairs, so slots alternate re / im components,
 /// the im slot carrying the packed order's sign - pre-negated in the
 /// real-part A order). Only kFinite/kZero lane classes appear here
 /// (special-free panels), and a kZero hi lane means the element is
-/// zero: the lo part can't be finite without the hi hidden bit. The
-/// tail up to kMaxSlots is zero-filled so the fixed-width term build
-/// stays exact.
-void decode_slots(const LaneOperand* src, int ns, int fill, ElemSoA& out) {
-  for (int t = 0; t < ns; ++t) {
-    const LaneOperand& hi = src[2 * t];
-    const LaneOperand& lo = src[2 * t + 1];
-    const bool fin = hi.cls == LaneOperand::Cls::kFinite;
-    // The lo part shares hi's sign and sits exactly 12 below; its sig
-    // is 0 whenever its lane is kZero, so reading it unconditionally
-    // is exact.
-    out.ab[t] = fin ? (hi.sig << 32) | lo.sig : 0;
-    out.exp[t] = fin ? hi.exp2 : fill;
-    out.neg[t] = fin && hi.sign ? 1u : 0u;
-  }
-  for (int t = ns; t < kMaxSlots; ++t) {
-    out.ab[t] = 0;
-    out.exp[t] = fill;
-    out.neg[t] = 0;
-  }
+/// zero: the lo part can't be finite without the hi hidden bit.
+inline Slot decode_slot(const LaneOperand* p, int fill) {
+  const LaneOperand& hi = p[0];
+  const LaneOperand& lo = p[1];
+  if (hi.cls != LaneOperand::Cls::kFinite) return {0, 0, fill, 0};
+  // The lo part shares hi's sign and sits exactly 12 below; its sig is
+  // 0 whenever its lane is kZero, so reading it unconditionally is
+  // exact.
+  return {hi.sig, lo.sig, hi.exp2, hi.sign ? ~std::uint64_t{0} : 0};
 }
 
-/// Swaps adjacent slots (re <-> im) for the imag-part pairing, where
-/// a's slot t multiplies b's slot t^1.
-void swap_slots(const ElemSoA& in, ElemSoA& out) {
+/// Decodes `ns` slots of one A row chunk; the tail up to kMaxSlots is
+/// zero-filled so the lane loops keep a fixed trip count.
+void decode_a(const LaneOperand* src, int ns, const PanelChunkMeta& m,
+              ASlots& out) {
+  const int fill = fill_exp(m);
+  const std::int64_t base = m.min_exp + 24;
   for (int t = 0; t < kMaxSlots; ++t) {
-    out.ab[t] = in.ab[t ^ 1];
-    out.exp[t] = in.exp[t ^ 1];
-    out.neg[t] = in.neg[t ^ 1];
+    const Slot s = t < ns ? decode_slot(src + 2 * t, fill)
+                          : Slot{0, 0, fill, 0};
+    out.hi[t] = s.hi;
+    out.lo[t] = s.lo;
+    out.sh[t] = s.exp - base;
+    out.neg[t] = s.neg;
+  }
+  out.min_exp = m.min_exp;
+  out.max_exp = m.max_exp;
+  out.finite = finite_chunk(m);
+}
+
+/// Decodes `ns` slots of NR consecutive B columns into slot-major
+/// lanes. `src` is column 0's chunk start, `stride` the lane distance
+/// between columns, `meta` column 0's chunk entry and `mstride` the
+/// entry distance between columns.
+template <int NR>
+void decode_b(const LaneOperand* src, std::size_t stride,
+              const PanelChunkMeta* meta, std::size_t mstride, int ns,
+              BSlots<NR>& out) {
+  for (int j = 0; j < NR; ++j) {
+    const PanelChunkMeta& m = meta[j * mstride];
+    const LaneOperand* col = src + j * stride;
+    const int fill = fill_exp(m);
+    for (int t = 0; t < kMaxSlots; ++t) {
+      const Slot s = t < ns ? decode_slot(col + 2 * t, fill)
+                            : Slot{0, 0, fill, 0};
+      out.hi[t][j] = s.hi;
+      out.lo[t][j] = s.lo;
+      out.sh[t][j] = s.exp - m.min_exp;
+      out.neg[t][j] = s.neg;
+    }
+    out.min_exp[j] = m.min_exp;
+    out.max_exp[j] = m.max_exp;
+    out.finite[j] = finite_chunk(m) ? ~std::uint64_t{0} : 0;
   }
 }
 
@@ -276,244 +338,351 @@ inline void prefetch_lanes(const LaneOperand* lanes, int count) {
   }
 }
 
-// --- Pair term build --------------------------------------------------
+// --- Column-lane row bodies --------------------------------------------
 //
-// Always processes the full kMaxSlots slots (tail slots have zero
-// significands and in-window exponents) so the SIMD paths have no
-// remainder and the accumulation loops have a fixed trip count.
-// `flip_odd` adds a sign flip on odd slots: the imag-part AI*BR
-// entries, whose A slot carries the real-part order's -AI pre-negation
-// that the imaginary part must undo.
+// A row body runs one block row's chunk for one register stream: lane j
+// holds output column j. Each lane sums its like-parts and crossed
+// terms exactly relative to its own window floor t_lo (= min_a +
+// min_b[j]), then per step folds in its register, normalizes and
+// rounds to accum_prec, and at the chunk end packs to FP32 - the same
+// arithmetic as ExactAccumulator's reg' = RNE_prec(reg + exact sum)
+// (core/fused_round.hpp), so any exact evaluation order gives the same
+// bits. `kImag` selects the FP32C imaginary-part pairing: A slot t
+// meets B slot t^1, and odd A slots flip sign to undo the real-part
+// order's -AI pre-negation.
+//
+// A lane the window cannot prove safe is reported, not computed:
+//   - counted: the span from the lowest to the highest bit of the
+//     step's window exceeds kMaxSpan (checked per step, since the
+//     per-step register moves);
+//   - generic: counted lanes plus lanes whose register is Inf/NaN.
+// The caller re-runs generic lanes through generic_fp32{,c}_chunk. A
+// lane with no finite terms (its A row or B column chunk is all zero)
+// rounds its register alone, which leaves a finite register unchanged
+// and turns +-0 into +0, as ExactAccumulator rounds an empty sum.
 
-void build_pair_scalar(const ElemSoA& a, const ElemSoA& b, bool flip_odd,
-                       PairTerms& t) {
-  for (int i = 0; i < kMaxSlots; ++i) {
-    const unsigned __int128 p =
-        static_cast<unsigned __int128>(a.ab[i]) * b.ab[i];
-    t.s0[i] = (static_cast<std::uint64_t>(p >> 64) << 24) |
-              (static_cast<std::uint64_t>(p) & low_mask(24));
-    t.s1[i] = static_cast<std::uint64_t>(p >> 32) & low_mask(25);
-    t.sh[i] = a.exp[i] + b.exp[i] - 24;
-    t.neg[i] = a.neg[i] ^ b.neg[i] ^ (flip_odd ? (i & 1u) : 0u);
-  }
-}
+struct RowOutcome {
+  unsigned generic = 0;  // bit j: lane j needs the generic path
+  unsigned counted = 0;  // bit j: ... because of its window (a fallback)
+};
 
-#ifdef M3XU_ENABLE_SIMD
-__attribute__((target("avx2"))) void build_pair_avx2(const ElemSoA& a,
-                                                     const ElemSoA& b,
-                                                     bool flip_odd,
-                                                     PairTerms& t) {
-  const __m256i m24 = _mm256_set1_epi64x(0xffffff);
-  for (int i = 0; i < kMaxSlots; i += 4) {
-    const __m256i av =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(a.ab + i));
-    const __m256i bv =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(b.ab + i));
-    const __m256i ah = _mm256_srli_epi64(av, 32);
-    const __m256i bh = _mm256_srli_epi64(bv, 32);
-    // mul_epu32 multiplies the low 32 bits of each 64-bit lane, which
-    // hold the 12-bit part sigs exactly.
-    const __m256i hh = _mm256_mul_epu32(ah, bh);
-    const __m256i ll = _mm256_mul_epu32(av, bv);
-    const __m256i hl = _mm256_mul_epu32(ah, bv);
-    const __m256i lh = _mm256_mul_epu32(av, bh);
-    _mm256_store_si256(
-        reinterpret_cast<__m256i*>(t.s0 + i),
-        _mm256_or_si256(_mm256_slli_epi64(hh, 24), _mm256_and_si256(ll, m24)));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(t.s1 + i),
-                       _mm256_add_epi64(hl, lh));
-  }
-  const __m256i ae = _mm256_load_si256(reinterpret_cast<const __m256i*>(a.exp));
-  const __m256i be = _mm256_load_si256(reinterpret_cast<const __m256i*>(b.exp));
-  _mm256_store_si256(
-      reinterpret_cast<__m256i*>(t.sh),
-      _mm256_sub_epi32(_mm256_add_epi32(ae, be), _mm256_set1_epi32(24)));
-  const __m256i an = _mm256_load_si256(reinterpret_cast<const __m256i*>(a.neg));
-  const __m256i bn = _mm256_load_si256(reinterpret_cast<const __m256i*>(b.neg));
-  __m256i nn = _mm256_xor_si256(an, bn);
-  if (flip_odd) {
-    nn = _mm256_xor_si256(nn, _mm256_set_epi32(1, 0, 1, 0, 1, 0, 1, 0));
-  }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(t.neg), nn);
-}
+using u128 = unsigned __int128;
 
-/// All 8 slots' 64-bit term streams in one 512-bit pass (the AVX2 path
-/// needs two): the same mul_epu32 recombination of the four 32x32
-/// partial products, just at full width. The 8 x i32 exp/neg streams
-/// stay on 256-bit ops - they already fit one vector there.
-__attribute__((target("avx2,avx512f"))) void build_pair_avx512(
-    const ElemSoA& a, const ElemSoA& b, bool flip_odd, PairTerms& t) {
-  const __m512i av = _mm512_load_si512(a.ab);
-  const __m512i bv = _mm512_load_si512(b.ab);
-  const __m512i ah = _mm512_srli_epi64(av, 32);
-  const __m512i bh = _mm512_srli_epi64(bv, 32);
-  const __m512i hh = _mm512_mul_epu32(ah, bh);
-  const __m512i ll = _mm512_mul_epu32(av, bv);
-  const __m512i hl = _mm512_mul_epu32(ah, bv);
-  const __m512i lh = _mm512_mul_epu32(av, bh);
-  const __m512i m24 = _mm512_set1_epi64(0xffffff);
-  _mm512_store_si512(
-      t.s0,
-      _mm512_or_si512(_mm512_slli_epi64(hh, 24), _mm512_and_si512(ll, m24)));
-  _mm512_store_si512(t.s1, _mm512_add_epi64(hl, lh));
-  const __m256i ae = _mm256_load_si256(reinterpret_cast<const __m256i*>(a.exp));
-  const __m256i be = _mm256_load_si256(reinterpret_cast<const __m256i*>(b.exp));
-  _mm256_store_si256(
-      reinterpret_cast<__m256i*>(t.sh),
-      _mm256_sub_epi32(_mm256_add_epi32(ae, be), _mm256_set1_epi32(24)));
-  const __m256i an = _mm256_load_si256(reinterpret_cast<const __m256i*>(a.neg));
-  const __m256i bn = _mm256_load_si256(reinterpret_cast<const __m256i*>(b.neg));
-  __m256i nn = _mm256_xor_si256(an, bn);
-  if (flip_odd) {
-    nn = _mm256_xor_si256(nn, _mm256_set_epi32(1, 0, 1, 0, 1, 0, 1, 0));
-  }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(t.neg), nn);
-}
-#endif
-
-/// `v` must be a resolved variant (mk_variant_resolve): the SIMD cases
-/// assume the CPU support check already happened, once per block, not
-/// per pair.
-inline void build_pair(MkVariant v, const ElemSoA& a, const ElemSoA& b,
-                       bool flip_odd, PairTerms& t) {
-#ifdef M3XU_ENABLE_SIMD
-  if (v == MkVariant::kAvx512) {
-    build_pair_avx512(a, b, flip_odd, t);
-    return;
-  }
-  if (v == MkVariant::kAvx2) {
-    build_pair_avx2(a, b, flip_odd, t);
-    return;
-  }
-#else
-  (void)v;
-#endif
-  build_pair_scalar(a, b, flip_odd, t);
-}
-
-// --- Fused step rounding over prescan windows -------------------------
-
-/// RNE_prec(c + selected step fields of `t`), bit-identical to the
-/// ExactAccumulator route. Mirrors mxu.cpp's fused_round with the
-/// exponent window taken from the pack-time prescan instead of a
-/// per-dot scan: [t_lo, t_hi] bounds every term (t_lo = the sides' min
-/// anchors summed, t_hi = the max lane exponents summed + 23; a pair's
-/// 48-bit product spans [sh, sh+47] with sh >= t_lo and sh+47 <= t_hi,
-/// the crossed field [sh+12, sh+36]). A conservative window only
-/// enlarges the shifts - round_sum128 normalizes on the actual leading
-/// bit - so the rounded value is unchanged; the span check merely
-/// falls back to the generic path a bit earlier than a per-dot scan
-/// would. `kLike`/`kCrossed` select the fields (both together = the
-/// idealized one-rounding-per-instruction sum). `c` may alias `*out`.
-/// Returns false with *out untouched when the chunk needs the generic
-/// ExactAccumulator route.
-template <bool kLike, bool kCrossed>
-bool step_round(const PairTerms& t, bool have_terms, int t_lo, int t_hi,
-                const fp::Unpacked& c, int prec, fp::Unpacked* out) {
-  // A NaN/Inf register short-circuits like the accumulator's sticky
-  // flags (the step sum itself is finite: special-free panels).
-  if (c.cls == fp::FpClass::kNaN) {
-    *out = {};
-    out->cls = fp::FpClass::kNaN;
-    return true;
-  }
-  if (c.cls == fp::FpClass::kInf) {
-    const bool sign = c.sign;
-    *out = {};
-    out->cls = fp::FpClass::kInf;
-    out->sign = sign;
-    return true;
-  }
-  int lo = 0;
-  int hi = 0;
-  bool any = false;
-  if (have_terms) {
-    lo = t_lo;
-    hi = t_hi;
-    any = true;
-  }
+/// Adds `reg` to the exact term sum `sum` (lsb weight 2^t_lo) and
+/// rounds to `prec` into `reg`. Returns false when the combined window
+/// is wider than kMaxSpan.
+bool fold_round(u128 sum, int t_lo, int t_hi, int prec, fp::Unpacked& reg) {
+  int lo = t_lo;
+  int hi = t_hi;
   std::uint64_t rsig = 0;
   int rexp = 0;
-  bool rneg = false;
-  if (c.cls == fp::FpClass::kNormal) {
-    // The register holds a prec-bit value (rounded to prec every step;
-    // the chunk-boundary C has <= 24 <= prec significant bits).
-    const int drop = fp::Unpacked::kSigTop - (prec - 1);
-    if ((c.sig & low_mask(drop)) != 0) return false;
-    rsig = c.sig >> drop;
-    rexp = c.exp - (prec - 1);
-    rneg = c.sign;
-    if (!any) {
-      lo = rexp;
-      hi = c.exp;
-      any = true;
-    } else {
-      lo = std::min(lo, rexp);
-      hi = std::max(hi, c.exp);
-    }
+  if (reg.cls == fp::FpClass::kNormal) {
+    // The register holds <= prec significant bits: a float at the
+    // chunk start (prec >= 24), the previous step's rounding after.
+    rexp = reg.exp - (prec - 1);
+    rsig = reg.sig >> (fp::Unpacked::kSigTop - (prec - 1));
+    lo = std::min(lo, rexp);
+    hi = std::max(hi, reg.exp);
   }
-  if (!any) {
-    *out = {};  // empty sum: exact +0, as ExactAccumulator rounds it
-    return true;
-  }
-  // Addend magnitudes: a like field is below 2^48 shifted by at most
-  // hi-lo-47, a crossed field below 2^25 shifted by at most hi-lo-35,
-  // the register below 2^(hi-lo+1); with <= 17 addends the sum stays
-  // under 2^(hi-lo+6) <= 2^124, inside the signed 128-bit window.
-  if (hi - lo > 118) return false;
-  unsigned __int128 sum = 0;
-  if (have_terms) {
-    // Branchless sign application ((v ^ m) - m with m = 0 or ~0): the
-    // signs are data-dependent, so a select beats a mispredicted
-    // branch in this 8-wide fixed-trip loop.
-    if (kLike) {
-      for (int i = 0; i < kMaxSlots; ++i) {
-        const unsigned __int128 v = static_cast<unsigned __int128>(t.s0[i])
-                                    << (t.sh[i] - lo);
-        const unsigned __int128 m = -static_cast<unsigned __int128>(t.neg[i]);
-        sum += (v ^ m) - m;
-      }
-    }
-    if (kCrossed) {
-      for (int i = 0; i < kMaxSlots; ++i) {
-        const unsigned __int128 v = static_cast<unsigned __int128>(t.s1[i])
-                                    << (t.sh[i] + 12 - lo);
-        const unsigned __int128 m = -static_cast<unsigned __int128>(t.neg[i]);
-        sum += (v ^ m) - m;
-      }
-    }
-  }
+  if (hi - lo > kMaxSpan) return false;
+  sum <<= t_lo - lo;
   if (rsig != 0) {
-    const unsigned __int128 v = static_cast<unsigned __int128>(rsig)
-                                << (rexp - lo);
-    sum = rneg ? sum - v : sum + v;
+    const u128 v = static_cast<u128>(rsig) << (rexp - lo);
+    sum = reg.sign ? sum - v : sum + v;
   }
-  detail::round_sum128(sum, lo, prec, out);
+  detail::round_sum128(sum, lo, prec, &reg);
   return true;
 }
 
-/// Runs one register stream's chunk - the like-parts step then the
-/// crossed step over one prebuilt PairTerms, or both in one window in
-/// idealized mode - replicating run_steps' register semantics, with
-/// the chunk-boundary pack to FP32 on success. Returns false with
-/// *acc untouched when the chunk must take the generic path.
-bool pair_chunk(const PairTerms& terms, bool have_terms, int t_lo, int t_hi,
-                const MicrokernelParams& p, float* acc) {
-  fp::Unpacked reg = fp::unpack(*acc);
-  if (p.per_step_rounding) {
-    if (!step_round<true, false>(terms, have_terms, t_lo, t_hi, reg,
-                                 p.accum_prec, &reg) ||
-        !step_round<false, true>(terms, have_terms, t_lo, t_hi, reg,
-                                 p.accum_prec, &reg)) {
-      return false;
+/// The scalar-lane body: the lane algorithm with one output column per
+/// loop trip, in unsigned __int128.
+struct ScalarLanes {
+  template <int NR, bool kPerStep, bool kImag>
+  static RowOutcome row(const ASlots& a, const BSlots<NR>& b, const float* c,
+                        float* out, int prec) {
+    RowOutcome o;
+    for (int j = 0; j < NR; ++j) {
+      fp::Unpacked reg = fp::unpack(c[j]);
+      if (reg.cls == fp::FpClass::kNaN || reg.cls == fp::FpClass::kInf) {
+        o.generic |= 1u << j;
+        continue;
+      }
+      if (!a.finite || b.finite[j] == 0) {
+        out[j] = reg.is_zero() ? 0.0f : c[j];
+        continue;
+      }
+      const int t_lo = static_cast<int>(a.min_exp + b.min_exp[j]);
+      const int t_hi = static_cast<int>(a.max_exp + b.max_exp[j] + 23);
+      bool ok = t_hi - t_lo <= kMaxSpan;
+      if (ok) {
+        u128 like = 0;
+        u128 cross = 0;
+        for (int t = 0; t < kMaxSlots; ++t) {
+          const int tb = kImag ? (t ^ 1) : t;
+          const std::uint64_t flip =
+              (kImag && (t & 1)) ? ~std::uint64_t{0} : 0;
+          const std::uint64_t s0 = ((a.hi[t] * b.hi[tb][j]) << 24) |
+                                   (a.lo[t] * b.lo[tb][j]);
+          const std::uint64_t s1 =
+              a.hi[t] * b.lo[tb][j] + a.lo[t] * b.hi[tb][j];
+          const int sh = static_cast<int>(a.sh[t] + b.sh[tb][j]);
+          // Branchless sign: (v ^ m) - m with m = 0 or ~0.
+          const u128 m = static_cast<u128>(static_cast<__int128>(
+              static_cast<std::int64_t>(a.neg[t] ^ flip ^ b.neg[tb][j])));
+          like += ((static_cast<u128>(s0) << sh) ^ m) - m;
+          cross += ((static_cast<u128>(s1) << (sh + 12)) ^ m) - m;
+        }
+        if (kPerStep) {
+          ok = fold_round(like, t_lo, t_hi, prec, reg) &&
+               fold_round(cross, t_lo, t_hi, prec, reg);
+        } else {
+          ok = fold_round(like + cross, t_lo, t_hi, prec, reg);
+        }
+      }
+      if (!ok) {
+        o.generic |= 1u << j;
+        o.counted |= 1u << j;
+        continue;
+      }
+      out[j] = fp::pack_to_float(reg);
     }
-  } else if (!step_round<true, true>(terms, have_terms, t_lo, t_hi, reg,
-                                     p.accum_prec, &reg)) {
-    return false;
+    return o;
   }
-  *acc = fp::pack_to_float(reg);
-  return true;
-}
+};
+
+#ifdef M3XU_ENABLE_SIMD
+// --- SIMD lane bodies ----------------------------------------------------
+//
+// The vector form of the lane algorithm lives in microkernel_lanes.inc,
+// compiled once per instruction set inside a target region: AVX-512
+// (with CD and VL) on 8 lanes for NR = 8 and 4 lanes for NR = 4, and
+// AVX2 on 4 lanes, run twice per NR = 8 row.
+
+#define M3XU_LANE_INLINE __attribute__((always_inline)) inline
+
+// GCC 12's AVX-512 intrinsics initialize their unused pass-through
+// operand from _mm512_undefined_epi32(), which -Wuninitialized reports
+// wherever they inline (GCC bug 105593, fixed in GCC 13).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+#pragma GCC push_options
+M3XU_TARGET_REGION(M3XU_AVX512_ISA(M3XU_ISA_NAME, M3XU_ISA_NAME_NEXT))
+namespace avx512 {
+
+/// 8 x u64 lanes (NR = 8 blocks).
+struct Zmm8 {
+  using V = __m512i;
+  using M = unsigned;
+  static constexpr int kLanes = 8;
+  static V load(const void* p) { return _mm512_loadu_si512(p); }
+  static V set1(std::int64_t x) { return _mm512_set1_epi64(x); }
+  static V add(V a, V b) { return _mm512_add_epi64(a, b); }
+  static V sub(V a, V b) { return _mm512_sub_epi64(a, b); }
+  static V and_(V a, V b) { return _mm512_and_si512(a, b); }
+  static V or_(V a, V b) { return _mm512_or_si512(a, b); }
+  static V xor_(V a, V b) { return _mm512_xor_si512(a, b); }
+  static V sllv(V a, V n) { return _mm512_sllv_epi64(a, n); }
+  static V srlv(V a, V n) { return _mm512_srlv_epi64(a, n); }
+  template <int N>
+  static V slli(V a) { return _mm512_slli_epi64(a, N); }
+  template <int N>
+  static V srli(V a) { return _mm512_srli_epi64(a, N); }
+  static V sign(V a) { return _mm512_srai_epi64(a, 63); }
+  static V mul32(V a, V b) { return _mm512_mul_epu32(a, b); }
+  static M ltu(V a, V b) { return _mm512_cmplt_epu64_mask(a, b); }
+  static M gt(V a, V b) { return _mm512_cmpgt_epi64_mask(a, b); }
+  static M eq(V a, V b) { return _mm512_cmpeq_epi64_mask(a, b); }
+  static M nz(V a) { return _mm512_test_epi64_mask(a, a); }
+  static M mand(M a, M b) { return a & b; }
+  static M mor(M a, M b) { return a | b; }
+  static bool any(M m) { return m != 0; }
+  static unsigned bits(M m) { return m; }
+  static V inc(V a, M k) {
+    return _mm512_mask_sub_epi64(a, static_cast<__mmask8>(k), a,
+                                 _mm512_set1_epi64(-1));
+  }
+  static V blend(M k, V a, V b) {
+    return _mm512_mask_blend_epi64(static_cast<__mmask8>(k), a, b);
+  }
+  static V min(V a, V b) { return _mm512_min_epi64(a, b); }
+  static V max(V a, V b) { return _mm512_max_epi64(a, b); }
+  static V minu(V a, V b) { return _mm512_min_epu64(a, b); }
+  static V msb(V a) {
+    return _mm512_sub_epi64(_mm512_set1_epi64(63), _mm512_lzcnt_epi64(a));
+  }
+  static V load_f32(const float* p) {
+    return _mm512_cvtepu32_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
+  static void store_f32(float* p, V bits) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p),
+                        _mm512_cvtepi64_epi32(bits));
+  }
+};
+
+/// 4 x u64 lanes through the AVX-512VL forms (NR = 4 blocks).
+struct Ymm4 {
+  using V = __m256i;
+  using M = unsigned;
+  static constexpr int kLanes = 4;
+  static V load(const void* p) {
+    return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+  }
+  static V set1(std::int64_t x) { return _mm256_set1_epi64x(x); }
+  static V add(V a, V b) { return _mm256_add_epi64(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_epi64(a, b); }
+  static V and_(V a, V b) { return _mm256_and_si256(a, b); }
+  static V or_(V a, V b) { return _mm256_or_si256(a, b); }
+  static V xor_(V a, V b) { return _mm256_xor_si256(a, b); }
+  static V sllv(V a, V n) { return _mm256_sllv_epi64(a, n); }
+  static V srlv(V a, V n) { return _mm256_srlv_epi64(a, n); }
+  template <int N>
+  static V slli(V a) { return _mm256_slli_epi64(a, N); }
+  template <int N>
+  static V srli(V a) { return _mm256_srli_epi64(a, N); }
+  static V sign(V a) { return _mm256_srai_epi64(a, 63); }
+  static V mul32(V a, V b) { return _mm256_mul_epu32(a, b); }
+  static M ltu(V a, V b) { return _mm256_cmplt_epu64_mask(a, b); }
+  static M gt(V a, V b) { return _mm256_cmpgt_epi64_mask(a, b); }
+  static M eq(V a, V b) { return _mm256_cmpeq_epi64_mask(a, b); }
+  static M nz(V a) { return _mm256_test_epi64_mask(a, a); }
+  static M mand(M a, M b) { return a & b; }
+  static M mor(M a, M b) { return a | b; }
+  static bool any(M m) { return m != 0; }
+  static unsigned bits(M m) { return m; }
+  static V inc(V a, M k) {
+    return _mm256_mask_sub_epi64(a, static_cast<__mmask8>(k), a,
+                                 _mm256_set1_epi64x(-1));
+  }
+  static V blend(M k, V a, V b) {
+    return _mm256_mask_blend_epi64(static_cast<__mmask8>(k), a, b);
+  }
+  static V min(V a, V b) { return _mm256_min_epi64(a, b); }
+  static V max(V a, V b) { return _mm256_max_epi64(a, b); }
+  static V minu(V a, V b) { return _mm256_min_epu64(a, b); }
+  static V msb(V a) {
+    return _mm256_sub_epi64(_mm256_set1_epi64x(63), _mm256_lzcnt_epi64(a));
+  }
+  static V load_f32(const float* p) {
+    return _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  static void store_f32(float* p, V bits) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
+                     _mm256_cvtepi64_epi32(bits));
+  }
+};
+
+#include "core/microkernel_lanes.inc"
+
+}  // namespace avx512
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx2")
+namespace avx2 {
+
+/// 4 x u64 lanes in AVX2, which has no mask registers, no unsigned or
+/// 64-bit min/max compares and no vplzcntq: masks are all-ones lanes and
+/// those operations are composed.
+struct Ymm4 {
+  using V = __m256i;
+  using M = __m256i;
+  static constexpr int kLanes = 4;
+  static V load(const void* p) {
+    return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+  }
+  static V set1(std::int64_t x) { return _mm256_set1_epi64x(x); }
+  static V add(V a, V b) { return _mm256_add_epi64(a, b); }
+  static V sub(V a, V b) { return _mm256_sub_epi64(a, b); }
+  static V and_(V a, V b) { return _mm256_and_si256(a, b); }
+  static V or_(V a, V b) { return _mm256_or_si256(a, b); }
+  static V xor_(V a, V b) { return _mm256_xor_si256(a, b); }
+  static V sllv(V a, V n) { return _mm256_sllv_epi64(a, n); }
+  static V srlv(V a, V n) { return _mm256_srlv_epi64(a, n); }
+  template <int N>
+  static V slli(V a) { return _mm256_slli_epi64(a, N); }
+  template <int N>
+  static V srli(V a) { return _mm256_srli_epi64(a, N); }
+  static V mul32(V a, V b) { return _mm256_mul_epu32(a, b); }
+  static M gt(V a, V b) { return _mm256_cmpgt_epi64(a, b); }
+  static M eq(V a, V b) { return _mm256_cmpeq_epi64(a, b); }
+  static V sign(V a) { return gt(_mm256_setzero_si256(), a); }
+  /// Unsigned a < b: a signed compare with both sign bits flipped.
+  static M ltu(V a, V b) {
+    const V flip = set1(static_cast<std::int64_t>(std::uint64_t{1} << 63));
+    return gt(xor_(b, flip), xor_(a, flip));
+  }
+  static M nz(V a) { return xor_(eq(a, _mm256_setzero_si256()), set1(-1)); }
+  static M mand(M a, M b) { return and_(a, b); }
+  static M mor(M a, M b) { return or_(a, b); }
+  static bool any(M m) { return !_mm256_testz_si256(m, m); }
+  static unsigned bits(M m) {
+    return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
+  }
+  static V inc(V a, M k) { return sub(a, k); }  // k lanes are -1
+  static V blend(M k, V a, V b) { return _mm256_blendv_epi8(a, b, k); }
+  static V min(V a, V b) { return blend(gt(a, b), a, b); }
+  static V max(V a, V b) { return blend(gt(a, b), b, a); }
+  static V minu(V a, V b) { return blend(ltu(b, a), a, b); }
+  /// The leading bit from the exponent of an exact double: a 32-bit
+  /// half OR'd into the mantissa of 2^52, minus 2^52, is exact.
+  static V msb(V a) {
+    const V upper32 = srli<32>(a);
+    const M upper = nz(upper32);
+    const V half = blend(upper, and_(a, set1(0xffffffff)), upper32);
+    const __m256d two52 = _mm256_castsi256_pd(set1(0x4330000000000000));
+    const __m256d d =
+        _mm256_sub_pd(_mm256_castsi256_pd(or_(half, set1(0x4330000000000000))),
+                      two52);
+    const V e = sub(srli<52>(_mm256_castpd_si256(d)), set1(1023));
+    return add(e, and_(upper, set1(32)));
+  }
+  static V load_f32(const float* p) {
+    return _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  static void store_f32(float* p, V bits) {
+    const V low32 = _mm256_permutevar8x32_epi32(
+        bits, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
+                     _mm256_castsi256_si128(low32));
+  }
+};
+
+#include "core/microkernel_lanes.inc"
+
+}  // namespace avx2
+#pragma GCC pop_options
+#pragma GCC diagnostic pop
+
+struct Avx512Lanes {
+  template <int NR, bool kPerStep, bool kImag>
+  static RowOutcome row(const ASlots& a, const BSlots<NR>& b, const float* c,
+                        float* out, int prec) {
+    static_assert(NR == 4 || NR == 8);
+    using O = std::conditional_t<NR == 8, avx512::Zmm8, avx512::Ymm4>;
+    return avx512::simd_row<O, NR, kPerStep, kImag>(a, b, 0, c, out, prec);
+  }
+};
+
+struct Avx2Lanes {
+  template <int NR, bool kPerStep, bool kImag>
+  static RowOutcome row(const ASlots& a, const BSlots<NR>& b, const float* c,
+                        float* out, int prec) {
+    RowOutcome o;
+    for (int j0 = 0; j0 < NR; j0 += avx2::Ymm4::kLanes) {
+      const RowOutcome h = avx2::simd_row<avx2::Ymm4, NR, kPerStep, kImag>(
+          a, b, j0, c, out, prec);
+      o.generic |= h.generic;
+      o.counted |= h.counted;
+    }
+    return o;
+  }
+};
+#endif  // M3XU_ENABLE_SIMD
 
 // --- Generic fallback -------------------------------------------------
 //
@@ -569,41 +738,33 @@ void generic_fp32c_chunk(const PackedPanelFp32cA& a, int row,
                {b.imag_swap.data() + boff, len}, unit, p, im);
 }
 
-inline bool finite_chunk(const PanelChunkMeta& m) {
-  return (m.flags & PanelChunkMeta::kHasFinite) != 0;
-}
-
 // --- Register-blocked bodies ------------------------------------------
 //
-// Templated on the MR x NR output-block shape so each instantiation
-// keeps its accumulator array and decode state at fixed size (the
-// compiler fully unrolls the short row/col loops). `v` is the resolved
-// term-build variant, checked once per block.
+// Templated on the MR x NR output-block shape, the row body `K` (the
+// resolved variant's lane body, chosen once per block) and the register
+// semantics. Per chunk, the NR B columns decode once, slot-major; each
+// A row decodes once and its NR lanes run in one row-body call.
 
-template <int MR, int NR>
+template <int MR, int NR, class K, bool kPerStep>
 void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
                 int col0, const DpUnit& unit, const MicrokernelParams& p,
-                MkVariant v, float* c, int ldc) {
-  M3XU_CHECK(a.k == b.k);
-  M3XU_CHECK(!a.has_special && !b.has_special);
-  M3XU_CHECK(row0 >= 0 && row0 + MR <= a.rows);
-  M3XU_CHECK(col0 >= 0 && col0 + NR <= b.cols);
+                float* c, int ldc) {
   const int k = a.k;
   const int nchunks = panel_chunk_count(k, kPackChunkFp32);
+  const std::size_t bstride = static_cast<std::size_t>(k) * 2;
   float acc[MR][NR];
   for (int i = 0; i < MR; ++i) {
     for (int j = 0; j < NR; ++j) acc[i][j] = c[i * ldc + j];
   }
-  ElemSoA arow[MR];
-  ElemSoA bcol[NR];
-  PairTerms terms;
+  ASlots arow{};
+  BSlots<NR> bcols{};
   std::uint64_t fallbacks = 0;
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32;
     const int kc = std::min(kPackChunkFp32, k - k0);
     if (p.prefetch && ch + 1 < nchunks) {
       // Pull the next chunk's hi/lo lane runs toward L1 while this
-      // chunk's decode + MR*NR pair computes hide the latency.
+      // chunk's decode and lane sums compute hide the latency.
       const int nk0 = k0 + kPackChunkFp32;
       const int nkc = std::min(kPackChunkFp32, k - nk0);
       for (int i = 0; i < MR; ++i) {
@@ -617,36 +778,27 @@ void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
             2 * nkc);
       }
     }
-    const PanelChunkMeta* am[MR];
-    const PanelChunkMeta* bm[NR];
+    decode_b<NR>(b.like.data() + static_cast<std::size_t>(col0) * bstride +
+                     static_cast<std::size_t>(k0) * 2,
+                 bstride,
+                 &b.meta[static_cast<std::size_t>(col0) * nchunks + ch],
+                 nchunks, kc, bcols);
     for (int i = 0; i < MR; ++i) {
-      am[i] = &a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
-      decode_slots(
+      decode_a(
           a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + k0) * 2,
-          kc, fill_exp(*am[i]), arow[i]);
-    }
-    for (int j = 0; j < NR; ++j) {
-      bm[j] = &b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
-      decode_slots(
-          b.like.data() + (static_cast<std::size_t>(col0 + j) * k + k0) * 2,
-          kc, fill_exp(*bm[j]), bcol[j]);
-    }
-    for (int i = 0; i < MR; ++i) {
+          kc, a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch], arow);
+      float out[NR] = {};
+      const RowOutcome o = K::template row<NR, kPerStep, false>(
+          arow, bcols, acc[i], out, p.accum_prec);
       for (int j = 0; j < NR; ++j) {
-        const bool have = finite_chunk(*am[i]) && finite_chunk(*bm[j]);
-        int t_lo = 0;
-        int t_hi = 0;
-        if (have) {
-          t_lo = am[i]->min_exp + bm[j]->min_exp;
-          t_hi = am[i]->max_exp + bm[j]->max_exp + 23;
-          build_pair(v, arow[i], bcol[j], /*flip_odd=*/false, terms);
-        }
-        if (!pair_chunk(terms, have, t_lo, t_hi, p, &acc[i][j])) {
-          ++fallbacks;
+        if (o.generic & (1u << j)) {
           generic_fp32_chunk(a, row0 + i, b, col0 + j, k0, kc, unit, p,
                              &acc[i][j]);
+        } else {
+          acc[i][j] = out[j];
         }
       }
+      fallbacks += static_cast<unsigned>(std::popcount(o.counted));
     }
   }
   for (int i = 0; i < MR; ++i) {
@@ -658,17 +810,14 @@ void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
   uk_fp32_falls.add(fallbacks);
 }
 
-template <int MR, int NR>
+template <int MR, int NR, class K, bool kPerStep>
 void fp32c_block(const PackedPanelFp32cA& a, int row0,
                  const PackedPanelFp32cB& b, int col0, const DpUnit& unit,
-                 const MicrokernelParams& p, MkVariant v,
-                 std::complex<float>* c, int ldc) {
-  M3XU_CHECK(a.k == b.k);
-  M3XU_CHECK(!a.has_special && !b.has_special);
-  M3XU_CHECK(row0 >= 0 && row0 + MR <= a.rows);
-  M3XU_CHECK(col0 >= 0 && col0 + NR <= b.cols);
+                 const MicrokernelParams& p, std::complex<float>* c,
+                 int ldc) {
   const int k = a.k;
   const int nchunks = panel_chunk_count(k, kPackChunkFp32c);
+  const std::size_t bstride = static_cast<std::size_t>(k) * 4;
   float acc_re[MR][NR];
   float acc_im[MR][NR];
   for (int i = 0; i < MR; ++i) {
@@ -679,14 +828,10 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
   }
   // A rows decode from the real-part order, where the im slots carry
   // the stage's -AI pre-negation: exactly the sign the real part's
-  // -AI*BI term needs, and flip_odd undoes it for the imag part's
-  // AI*BR term. B columns decode once; a slot-swapped copy provides
-  // the imag part's crossed component pairing (AR*BI, AI*BR).
-  ElemSoA arow[MR];
-  ElemSoA bcol[NR];
-  ElemSoA bswp[NR];
-  PairTerms terms_re;
-  PairTerms terms_im;
+  // -AI*BI term needs; the imag-part body flips it back for AI*BR and
+  // pairs each A slot with the other component's B slot.
+  ASlots arow{};
+  BSlots<NR> bcols{};
   std::uint64_t fallbacks = 0;
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32c;
@@ -705,47 +850,37 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
                        4 * nkc);
       }
     }
-    const PanelChunkMeta* am[MR];
-    const PanelChunkMeta* bm[NR];
+    decode_b<NR>(b.real_like.data() + static_cast<std::size_t>(col0) * bstride +
+                     static_cast<std::size_t>(k0) * 4,
+                 bstride,
+                 &b.meta[static_cast<std::size_t>(col0) * nchunks + ch],
+                 nchunks, 2 * kc, bcols);
     for (int i = 0; i < MR; ++i) {
-      am[i] = &a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
-      decode_slots(a.real_lanes.data() +
-                       (static_cast<std::size_t>(row0 + i) * k + k0) * 4,
-                   2 * kc, fill_exp(*am[i]), arow[i]);
-    }
-    for (int j = 0; j < NR; ++j) {
-      bm[j] = &b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
-      decode_slots(b.real_like.data() +
-                       (static_cast<std::size_t>(col0 + j) * k + k0) * 4,
-                   2 * kc, fill_exp(*bm[j]), bcol[j]);
-      swap_slots(bcol[j], bswp[j]);
-    }
-    for (int i = 0; i < MR; ++i) {
+      decode_a(a.real_lanes.data() +
+                   (static_cast<std::size_t>(row0 + i) * k + k0) * 4,
+               2 * kc,
+               a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch], arow);
+      float re[NR] = {};
+      float im[NR] = {};
+      const RowOutcome ore = K::template row<NR, kPerStep, false>(
+          arow, bcols, acc_re[i], re, p.accum_prec);
+      const RowOutcome oim = K::template row<NR, kPerStep, true>(
+          arow, bcols, acc_im[i], im, p.accum_prec);
+      // Both parts must stream for the chunk to stay fused; otherwise
+      // the whole chunk (both registers) re-runs generically from the
+      // original accumulators.
+      const unsigned generic = ore.generic | oim.generic;
       for (int j = 0; j < NR; ++j) {
-        const bool have = finite_chunk(*am[i]) && finite_chunk(*bm[j]);
-        int t_lo = 0;
-        int t_hi = 0;
-        if (have) {
-          t_lo = am[i]->min_exp + bm[j]->min_exp;
-          t_hi = am[i]->max_exp + bm[j]->max_exp + 23;
-          build_pair(v, arow[i], bcol[j], /*flip_odd=*/false, terms_re);
-          build_pair(v, arow[i], bswp[j], /*flip_odd=*/true, terms_im);
-        }
-        // Both parts must stream for the chunk to stay fused; on any
-        // failure the whole chunk (both registers) re-runs generically
-        // from the original accumulators.
-        float re = acc_re[i][j];
-        float im = acc_im[i][j];
-        if (pair_chunk(terms_re, have, t_lo, t_hi, p, &re) &&
-            pair_chunk(terms_im, have, t_lo, t_hi, p, &im)) {
-          acc_re[i][j] = re;
-          acc_im[i][j] = im;
-        } else {
-          ++fallbacks;
+        if (generic & (1u << j)) {
           generic_fp32c_chunk(a, row0 + i, b, col0 + j, k0, kc, unit, p,
                               &acc_re[i][j], &acc_im[i][j]);
+        } else {
+          acc_re[i][j] = re[j];
+          acc_im[i][j] = im[j];
         }
       }
+      fallbacks +=
+          static_cast<unsigned>(std::popcount(ore.counted | oim.counted));
     }
   }
   for (int i = 0; i < MR; ++i) {
@@ -759,40 +894,76 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
   uk_fp32c_falls.add(fallbacks);
 }
 
+/// Calls body.template operator()<MR, NR, K, kPerStep>() for the
+/// block's shape, register semantics and resolved variant `v`.
+template <class K, bool kPerStep, class Body>
+void dispatch_shape(const MicrokernelParams& p, Body& body) {
+  if (p.mr == 4 && p.nr == 4) {
+    body.template operator()<4, 4, K, kPerStep>();
+  } else if (p.mr == 6 && p.nr == 8) {
+    body.template operator()<6, 8, K, kPerStep>();
+  } else if (p.mr == 8 && p.nr == 8) {
+    body.template operator()<8, 8, K, kPerStep>();
+  } else {
+    M3XU_CHECK(mk_block_supported(p.mr, p.nr));
+  }
+}
+
+template <class K, class Body>
+void dispatch_rounding(const MicrokernelParams& p, Body& body) {
+  if (p.per_step_rounding) {
+    dispatch_shape<K, true>(p, body);
+  } else {
+    dispatch_shape<K, false>(p, body);
+  }
+}
+
+template <class Body>
+void dispatch(const MicrokernelParams& p, Body&& body) {
+  // prec in [24, 63]: a chunk-boundary register (a float) is then exact
+  // at prec, and the rounding tail's guard bit exists.
+  M3XU_CHECK(p.accum_prec >= 24 && p.accum_prec <= 63);
+  const MkVariant v = mk_variant_resolve(p.variant);
+  count_variant_block(v);
+#ifdef M3XU_ENABLE_SIMD
+  if (v == MkVariant::kAvx512) {
+    dispatch_rounding<Avx512Lanes>(p, body);
+    return;
+  }
+  if (v == MkVariant::kAvx2) {
+    dispatch_rounding<Avx2Lanes>(p, body);
+    return;
+  }
+#endif
+  dispatch_rounding<ScalarLanes>(p, body);
+}
+
 }  // namespace
 
 void microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
                             const PackedPanelFp32B& b, int col0,
                             const DpUnit& unit, const MicrokernelParams& p,
                             float* c, int ldc) {
-  const MkVariant v = mk_variant_resolve(p.variant);
-  count_variant_block(v);
-  if (p.mr == 4 && p.nr == 4) {
-    fp32_block<4, 4>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else if (p.mr == 6 && p.nr == 8) {
-    fp32_block<6, 8>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else if (p.mr == 8 && p.nr == 8) {
-    fp32_block<8, 8>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else {
-    M3XU_CHECK(mk_block_supported(p.mr, p.nr));
-  }
+  M3XU_CHECK(a.k == b.k);
+  M3XU_CHECK(!a.has_special && !b.has_special);
+  M3XU_CHECK(row0 >= 0 && row0 + p.mr <= a.rows);
+  M3XU_CHECK(col0 >= 0 && col0 + p.nr <= b.cols);
+  dispatch(p, [&]<int MR, int NR, class K, bool kPerStep>() {
+    fp32_block<MR, NR, K, kPerStep>(a, row0, b, col0, unit, p, c, ldc);
+  });
 }
 
 void microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
                              const PackedPanelFp32cB& b, int col0,
                              const DpUnit& unit, const MicrokernelParams& p,
                              std::complex<float>* c, int ldc) {
-  const MkVariant v = mk_variant_resolve(p.variant);
-  count_variant_block(v);
-  if (p.mr == 4 && p.nr == 4) {
-    fp32c_block<4, 4>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else if (p.mr == 6 && p.nr == 8) {
-    fp32c_block<6, 8>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else if (p.mr == 8 && p.nr == 8) {
-    fp32c_block<8, 8>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else {
-    M3XU_CHECK(mk_block_supported(p.mr, p.nr));
-  }
+  M3XU_CHECK(a.k == b.k);
+  M3XU_CHECK(!a.has_special && !b.has_special);
+  M3XU_CHECK(row0 >= 0 && row0 + p.mr <= a.rows);
+  M3XU_CHECK(col0 >= 0 && col0 + p.nr <= b.cols);
+  dispatch(p, [&]<int MR, int NR, class K, bool kPerStep>() {
+    fp32c_block<MR, NR, K, kPerStep>(a, row0, b, col0, unit, p, c, ldc);
+  });
 }
 
 }  // namespace m3xu::core

@@ -3,35 +3,31 @@
 // The per-element prepacked path (mxu.cpp) re-decodes the same A lane
 // operands for every output column, re-reads the B lanes for every row,
 // and re-derives the fused-round exponent window per dot product. The
-// microkernel computes a kMicroMr x kMicroNr output block per pass over
-// the packed K lanes instead:
+// microkernel computes an MR x NR output block per pass over the packed
+// K lanes instead:
 //
-//   - A decode is hoisted once per block row per k-chunk and reused
-//     across all NR columns; each B column decodes once and is reused
-//     across all MR rows. The decode recombines an element's two
-//     12-bit parts into one 64-bit word (they share a sign and sit 12
-//     apart, fp/split.hpp), so one 64x64->128 multiply per operand
-//     pair yields all four partial products at disjoint bit fields -
-//     both architectural steps' terms, including the step-1 crossed
-//     order and the FP32C component pairings, fall out of one product;
-//   - streaming eligibility and the fused-round window bound come from
-//     the panels' pack-time exponent prescan (PanelChunkMeta), decided
-//     once per (row, chunk) / (col, chunk) instead of per dot;
-//   - the term build runs over structure-of-arrays slots with a fixed
-//     trip count, with an explicit AVX2 path behind M3XU_ENABLE_SIMD
-//     (runtime-dispatched) and the scalar loop as the always-built
-//     fallback.
+//   - per K-chunk, the NR B columns decode once into slot-major lanes
+//     and each A row decodes once; the prescan windows
+//     (PanelChunkMeta) decide streaming eligibility and the exponent
+//     window per (row, chunk) / (col, chunk) instead of per dot;
+//   - one lane holds one output column of a block row: each A slot is
+//     broadcast against the NR columns, the four 12-bit part products
+//     give both architectural steps' terms, and every lane sums them
+//     exactly in a two-limb 128-bit window, normalizes, rounds to
+//     accum_prec per step and packs to FP32 at the chunk end. The
+//     AVX-512 variant runs 8 (NR = 8) or 4 (NR = 4) lanes per vector,
+//     the AVX2 variant 4, and the scalar variant loops over the lanes.
 //
 // Bit-identity: each architectural step still computes
 // reg' = RNE_prec(reg + exact step sum), and chunk boundaries still
 // pack the register to FP32, so results are bit-identical to the
 // per-dot ExactAccumulator route (core/fused_round.hpp documents why).
-// Any (i, j, chunk) the prescan cannot prove safe - wide exponent span,
-// non-prec-exact register, Inf/NaN register - re-runs that chunk
-// through the generic ExactAccumulator path on the same panel slices.
-// Callers must keep injector-attached runs on the per-element path:
-// the microkernel has no fault hooks, by design (fault-site opportunity
-// order is defined by the per-dot schedule).
+// A lane the prescan cannot prove safe - a window span over 118 bits,
+// or an Inf/NaN register - is masked out of the lane result and its
+// chunk re-runs through the generic ExactAccumulator path on the same
+// panel slices. Callers must keep injector-attached runs on the
+// per-element path: the microkernel has no fault hooks, by design
+// (fault-site opportunity order is defined by the per-dot schedule).
 #pragma once
 
 #include <complex>
@@ -42,12 +38,12 @@
 namespace m3xu::core {
 
 /// Default output-block shape (the smallest supported block; also the
-/// shape the scalar variant defaults to, where decode amortization
-/// matters less than register pressure).
+/// shape the scalar-lane body defaults to, whose per-lane sums leave
+/// decode amortization little to gain).
 inline constexpr int kMicroMr = 4;
 inline constexpr int kMicroNr = 4;
 
-/// Term-build SIMD variant. kAuto resolves to the widest lane the CPU
+/// Microkernel SIMD variant. kAuto resolves to the widest lane the CPU
 /// supports at runtime (__builtin_cpu_supports); the scalar path is
 /// always built and every variant is bit-identical - dispatch is a
 /// pure throughput choice. The M3XU_MK_VARIANT environment variable
@@ -79,9 +75,12 @@ struct MkBlockShape {
 /// The template-instantiated shape set: 4x4, 6x8, 8x8.
 bool mk_block_supported(int mr, int nr);
 
-/// Resolves a configured shape: (0, 0) picks the per-CPU default (8x8
-/// when any SIMD variant is active, 4x4 for scalar); anything else
-/// must be a supported pair (M3XU_CHECK).
+/// Resolves a configured shape for the variant an engine requests:
+/// (0, 0) picks that variant's default shape; anything else must be a
+/// supported pair (M3XU_CHECK).
+MkBlockShape mk_block_resolve(int mr, int nr, MkVariant variant);
+
+/// mk_block_resolve for the kAuto variant.
 MkBlockShape mk_block_resolve(int mr, int nr);
 
 /// Rounding + dispatch configuration threaded from M3xuConfig (the
@@ -100,14 +99,11 @@ struct MicrokernelParams {
   bool prefetch = true;
 };
 
-/// True when any SIMD term-build path is compiled in and the CPU
-/// supports it (runtime-dispatched; the scalar path is always built).
-bool microkernel_simd_active();
-
 /// Computes the p.mr x p.nr block C += A*B at panel offset
 /// (row0, col0) over the panels' full K. `c` points at the block's
 /// top-left output element. Requires row0+p.mr <= a.rows,
-/// col0+p.nr <= b.cols, a.k == b.k, and special-free panels.
+/// col0+p.nr <= b.cols, a.k == b.k, special-free panels and
+/// p.accum_prec in [24, 63].
 void microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
                             const PackedPanelFp32B& b, int col0,
                             const DpUnit& unit, const MicrokernelParams& p,

@@ -708,7 +708,8 @@ void M3xuEngine::gemm_fp32_prepacked(const PackedPanelFp32A& a, int row0,
   };
   if (streaming && config_.enable_microkernel && k > 0) {
     M3XU_CHECK(kc_max == kPackChunkFp32);
-    const MkBlockShape blk = mk_block_resolve(config_.mk_mr, config_.mk_nr);
+    const MkBlockShape blk =
+        mk_block_resolve(config_.mk_mr, config_.mk_nr, config_.mk_variant);
     const MicrokernelParams mp{config_.per_step_rounding, config_.accum_prec,
                                config_.mk_variant, blk.mr, blk.nr,
                                config_.mk_prefetch};
@@ -865,7 +866,8 @@ void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
   };
   if (streaming && config_.enable_microkernel && k > 0) {
     M3XU_CHECK(kc_max == kPackChunkFp32c);
-    const MkBlockShape blk = mk_block_resolve(config_.mk_mr, config_.mk_nr);
+    const MkBlockShape blk =
+        mk_block_resolve(config_.mk_mr, config_.mk_nr, config_.mk_variant);
     const MicrokernelParams mp{config_.per_step_rounding, config_.accum_prec,
                                config_.mk_variant, blk.mr, blk.nr,
                                config_.mk_prefetch};

@@ -91,13 +91,14 @@ struct M3xuConfig {
   /// uses it as the demotion rung below the packed fused route. See
   /// docs/RESILIENCE.md.
   bool force_generic = false;
-  /// Microkernel term-build variant (core/microkernel.hpp). kAuto
+  /// Microkernel lane-body variant (core/microkernel.hpp). kAuto
   /// resolves to the widest SIMD lane the CPU supports; every variant
   /// is bit-identical, so this is a throughput / reproduction knob.
   MkVariant mk_variant = MkVariant::kAuto;
   /// Microkernel register-block shape. (0, 0) - the default - picks
-  /// the per-CPU shape (mk_block_resolve); anything else must be a
-  /// supported pair (4x4 / 6x8 / 8x8), checked at engine construction.
+  /// mk_variant's default shape (mk_block_resolve); anything else must
+  /// be a supported pair (4x4 / 6x8 / 8x8), checked at engine
+  /// construction.
   int mk_mr = 0;
   int mk_nr = 0;
   /// Software-prefetch the next packed K-chunk inside the microkernel.

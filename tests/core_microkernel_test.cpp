@@ -5,10 +5,13 @@
 // Inf/NaN operands (which bypass the microkernel at the routing seam),
 // wide exponent spans that force the per-pair generic fallback, nonzero
 // and signed-zero C, non-default rounding configs, prepacked sub-block
-// offsets, and injector-attached engines (which must stay on the
-// per-dot-identical generic path and replay identical fault logs).
+// offsets, injector-attached engines (which must stay on the
+// per-dot-identical generic path and replay identical fault logs), and
+// block rows whose column lanes diverge between streaming and fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <limits>
@@ -21,6 +24,7 @@
 #include "core/mxu.hpp"
 #include "core/packed_panel.hpp"
 #include "fault/injector.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace m3xu::core {
 namespace {
@@ -329,6 +333,42 @@ TEST(MicrokernelDispatch, BlockShapeResolution) {
   EXPECT_EQ(forced.nr, 8);
 }
 
+TEST(MicrokernelDispatch, BlockShapeFollowsConfiguredVariant) {
+  // The default shape follows the variant the engine requests, not the
+  // kAuto resolution: an engine forced to kScalar on a SIMD host runs
+  // the scalar default shape, as M3XU_MK_VARIANT=scalar would.
+  const MkBlockShape scalar = mk_block_resolve(0, 0, MkVariant::kScalar);
+  EXPECT_EQ(scalar.mr, 4);
+  EXPECT_EQ(scalar.nr, 4);
+  const MkBlockShape autos = mk_block_resolve(0, 0);
+  const MkBlockShape resolved =
+      mk_block_resolve(0, 0, mk_variant_resolve(MkVariant::kAuto));
+  EXPECT_EQ(autos.mr, resolved.mr);
+  EXPECT_EQ(autos.nr, resolved.nr);
+  if (mk_variant_available(MkVariant::kAvx512)) {
+    const MkBlockShape wide = mk_block_resolve(0, 0, MkVariant::kAvx512);
+    EXPECT_EQ(wide.mr, 8);
+    EXPECT_EQ(wide.nr, 8);
+  }
+  // A forced-scalar engine runs 4x4 blocks: a 16x16 GEMM is 16 of them.
+  M3xuConfig cfg;
+  cfg.mk_variant = MkVariant::kScalar;
+  const M3xuEngine micro(cfg);
+  Rng rng(36000);
+  const int m = 16, n = 16, k = 8;
+  const auto a = random_buffer(m, k, rng, true);
+  const auto b = random_buffer(k, n, rng, true);
+  auto c = random_buffer(m, n, rng, true);
+  const telemetry::Snapshot before = telemetry::snapshot();
+  micro.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n, c.data(), n);
+  const telemetry::Snapshot after = telemetry::snapshot();
+#if M3XU_TELEMETRY_ENABLED
+  EXPECT_EQ(after.counter_delta(before, "mxu.fp32.microkernel.blocks"), 16u);
+#else
+  EXPECT_EQ(after.counter_delta(before, "mxu.fp32.microkernel.blocks"), 0u);
+#endif
+}
+
 TEST(MicrokernelDispatch, EveryVariantAndShapeMatchesPerDot) {
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
@@ -411,6 +451,157 @@ TEST(MicrokernelDispatch, EveryVariantAndShapeMatchesPerDot) {
     }
   }
   EXPECT_GE(combo, 3);  // at least the scalar variant ran all shapes
+}
+
+// --- Lane divergence ---------------------------------------------------
+//
+// One lane holds one output column of a block row, so the lanes of one
+// row can disagree on whether they stream. These inputs give every
+// block row lanes that stream, lanes that fall back, lanes with no
+// finite terms, lanes that cancel, and lanes whose register is Inf,
+// NaN or a signed zero, and place terms at the limb boundaries.
+//
+// In the first K-chunk every A row holds 1.0 in slots 0-3 and values
+// in [1, 2) after, so its exponent window is fixed: a B column chunk
+// holding 2^lo and 2^hi then spans hi - lo + 47 bits, and the term
+// with 2^e sits e bits above the window floor.
+
+/// First-chunk B values of column pattern `p`.
+std::vector<float> lane_pattern(int p, Rng& rng) {
+  const auto pow2 = [](int e) { return std::ldexp(1.0f, e); };
+  switch (p) {
+    case 1:  // span 119: falls back
+      return {1.0f, pow2(72)};
+    case 2:  // no finite terms in this chunk
+      return {};
+    case 3:  // like-term shifts 0, 63, 64 and 65 above the floor
+      return {1.0f, pow2(63), -pow2(64), pow2(65)};
+    case 4:  // span exactly 118: streams
+      return {-1.0f, pow2(71)};
+    case 5: {  // exact cancellation against the A row's 1.0 slots
+      const float x = rng.scaled_float();
+      const float y = rng.scaled_float();
+      return {x, -x, y, -y};
+    }
+    case 6:  // span 119 at small magnitudes
+      return {pow2(-40), -pow2(32)};
+    default: {  // ordinary streaming lane
+      std::vector<float> v(8);
+      for (auto& x : v) x = rng.scaled_float();
+      return v;
+    }
+  }
+}
+
+/// C value at (i, j): Inf, -Inf, NaN and +-0 registers spread over the
+/// lanes of each row, finite values elsewhere.
+float lane_register(int i, int j, Rng& rng) {
+  switch ((i + j) % 8) {
+    case 1:
+      return std::numeric_limits<float>::quiet_NaN();
+    case 3:
+      return std::numeric_limits<float>::infinity();
+    case 4:
+      return -std::numeric_limits<float>::infinity();
+    case 5:
+      return -0.0f;
+    case 6:
+      return 0.0f;
+    default:
+      return rng.scaled_float();
+  }
+}
+
+/// A row chunk-0 value at slot t (row 1 is all zero: a whole row of
+/// lanes with no finite terms).
+float lane_a(int i, int t, Rng& rng) {
+  if (i == 1) return 0.0f;
+  if (t < 4) return 1.0f;
+  const float v = 1.0f + std::ldexp(static_cast<float>(rng.next_below(8)), -3);
+  return rng.next_below(2) ? v : -v;
+}
+
+/// Runs the divergent-lane inputs through `cfg`'s microkernel: two
+/// block rows, at least eight columns so every pattern lands in a row
+/// of each shape, and k = 8 or 16 (a second, ordinary chunk).
+void check_divergent_lanes(const M3xuConfig& cfg, int k, Rng& rng) {
+  const M3xuEngine micro(cfg);
+  const M3xuEngine packed = packed_only_engine(cfg);
+  const int m = 2 * cfg.mk_mr;
+  const int n = std::max(8, 2 * cfg.mk_nr);
+  std::vector<float> a = random_buffer(m, k, rng, true);
+  std::vector<float> b = random_buffer(k, n, rng, true);
+  std::vector<float> c(static_cast<std::size_t>(m) * n);
+  for (int i = 0; i < m; ++i) {
+    for (int t = 0; t < 8; ++t) a[i * k + t] = lane_a(i, t, rng);
+  }
+  for (int j = 0; j < n; ++j) {
+    std::vector<float> col = lane_pattern(j % 8, rng);
+    col.resize(8, 0.0f);
+    for (int t = 0; t < 8; ++t) b[t * n + j] = col[t];
+  }
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) c[i * n + j] = lane_register(i, j, rng);
+  }
+  check_fp32(micro, packed, m, n, k, a, b, c);
+
+  // The complex route: A chunk-0 elements 0-1 are (1, 0), so a B column
+  // (x, y), (-x, -y) cancels; a pattern's values fill the B components
+  // in slot order.
+  const int ck = k / 2;
+  auto ca = random_cbuffer(m, ck, rng, true);
+  auto cb = random_cbuffer(ck, n, rng, true);
+  std::vector<std::complex<float>> cc(static_cast<std::size_t>(m) * n);
+  for (int i = 0; i < m; ++i) {
+    for (int e = 0; e < 4; ++e) {
+      ca[i * ck + e] = e < 2 ? std::complex<float>(i == 1 ? 0.0f : 1.0f, 0.0f)
+                             : std::complex<float>(lane_a(i, 4, rng),
+                                                   lane_a(i, 5, rng));
+    }
+  }
+  for (int j = 0; j < n; ++j) {
+    std::vector<float> col = lane_pattern(j % 8, rng);
+    if (j % 8 == 5) col = {col[0], col[2], col[1], col[3]};
+    col.resize(8, 0.0f);
+    for (int e = 0; e < 4; ++e) cb[e * n + j] = {col[2 * e], col[2 * e + 1]};
+  }
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      cc[i * n + j] = {lane_register(i, j, rng), lane_register(i, j + 3, rng)};
+    }
+  }
+  check_fp32c(micro, packed, m, n, ck, ca, cb, cc);
+}
+
+TEST(MicrokernelLanes, DivergentLanesInOneRowMatchPerDot) {
+  int combo = 0;
+  for (const MkVariant v :
+       {MkVariant::kScalar, MkVariant::kAvx2, MkVariant::kAvx512}) {
+    if (!mk_variant_available(v)) continue;
+    for (const MkBlockShape shape :
+         {MkBlockShape{4, 4}, MkBlockShape{6, 8}, MkBlockShape{8, 8}}) {
+      for (const bool per_step : {true, false}) {
+        for (const int prec : {24, 48, 63}) {
+          for (const int k : {8, 16}) {
+            SCOPED_TRACE(std::string(mk_variant_name(v)) + " " +
+                         std::to_string(shape.mr) + "x" +
+                         std::to_string(shape.nr) +
+                         (per_step ? " per-step" : " idealized") + " prec " +
+                         std::to_string(prec) + " k " + std::to_string(k));
+            M3xuConfig cfg;
+            cfg.mk_variant = v;
+            cfg.mk_mr = shape.mr;
+            cfg.mk_nr = shape.nr;
+            cfg.per_step_rounding = per_step;
+            cfg.accum_prec = prec;
+            Rng rng(37000 + combo++);
+            check_divergent_lanes(cfg, k, rng);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(combo, 36);  // at least the scalar variant ran every case
 }
 
 TEST(MicrokernelDispatch, InjectorDeterminismUnderForcedDispatch) {

@@ -175,7 +175,7 @@ class BlockedServerTest : public ::testing::Test {
     cfg.queue_capacity = queue_capacity;
     cfg.admission = admission;
     server_.emplace(cfg);
-    blocker_problem_ = make(192, 192, 192, 3);
+    blocker_problem_ = make(384, 384, 384, 3);
     blocker_ = server_->submit_sgemm(blocker_problem_.a, blocker_problem_.b,
                                      blocker_problem_.c);
     ASSERT_TRUE(wait_running(blocker_));
@@ -274,9 +274,9 @@ TEST_F(BlockedServerTest, ShutdownShedsQueuedRequestsExplicitly) {
 TEST(GemmServer, DeadlineMidRunResolvesDeadlineExceeded) {
   ServerConfig cfg = base_config();
   cfg.executors = 1;
-  cfg.default_deadline_ms = 30;  // far less than a 192^3 emulated GEMM
+  cfg.default_deadline_ms = 30;  // far less than a 384^3 emulated GEMM
   GemmServer server(cfg);
-  const Problem p = make(192, 192, 192, 9);
+  const Problem p = make(384, 384, 384, 9);
   const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
   req->wait();
   EXPECT_EQ(req->status(), RequestStatus::kDeadlineExceeded) << req->error();
@@ -513,7 +513,7 @@ TEST(GemmServer, CancelMidRunResolvesCancelled) {
   ServerConfig cfg = base_config();
   cfg.executors = 1;
   GemmServer server(cfg);
-  const Problem p = make(192, 192, 192, 16);
+  const Problem p = make(384, 384, 384, 16);
   const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
   ASSERT_TRUE(wait_running(req));
   req->cancel();

@@ -7,11 +7,15 @@
 // asserted.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "core/microkernel.hpp"
 #include "core/mxu.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/tiled_driver.hpp"
@@ -197,4 +201,90 @@ TEST(TelemetryRoutes, AbftCountersMirrorStats) {
 #else
   EXPECT_EQ(after.counter_delta(before, "abft.tile_checks"), 0u);
 #endif
+}
+
+namespace {
+
+/// A value in [1, 2): every operand chunk built from these spans 47 bits.
+float unit_range(Rng& rng) {
+  return 1.0f + static_cast<float>(rng.next_below(1024)) / 1024.0f;
+}
+
+}  // namespace
+
+TEST(TelemetryRoutes, MicrokernelFallbacksCountOnlyWindowFailures) {
+  // One MR x NR block, one K-chunk, every operand in [1, 2) except:
+  //   - row 0's A chunk holds 2^100 and 2^-100: its NR lanes' windows
+  //     span far over 118 bits (NR fallbacks);
+  //   - column NR-1's B chunk holds 2^72: a 119-bit span in every row
+  //     with terms (rows 1 and 3..MR-1 add MR-2 fallbacks);
+  //   - row 1's C holds NaN and Inf in lanes 0 and 1: those lanes take
+  //     the generic path but are not fallbacks;
+  //   - row 2's A chunk is zero: lanes with no terms stream.
+  // So pair_fallbacks grows by exactly NR + MR - 2 per block.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const m3xu::core::MkVariant v :
+       {m3xu::core::MkVariant::kScalar, m3xu::core::MkVariant::kAvx2,
+        m3xu::core::MkVariant::kAvx512}) {
+    if (!m3xu::core::mk_variant_available(v)) continue;
+    for (const int edge : {4, 8}) {
+      SCOPED_TRACE(std::string(m3xu::core::mk_variant_name(v)) + " " +
+                   std::to_string(edge) + "x" + std::to_string(edge));
+      m3xu::core::M3xuConfig cfg;
+      cfg.mk_variant = v;
+      cfg.mk_mr = edge;
+      cfg.mk_nr = edge;
+      const M3xuEngine engine(cfg);
+      const int m = edge, n = edge;
+      const std::uint64_t expected = static_cast<std::uint64_t>(n + m - 2);
+      Rng rng(41 + edge);
+
+      const int k = 8;
+      std::vector<float> a(m * k), b(k * n), c(m * n);
+      for (auto& x : a) x = unit_range(rng);
+      for (auto& x : b) x = unit_range(rng);
+      for (auto& x : c) x = unit_range(rng);
+      a[0] = std::ldexp(1.0f, 100);
+      a[1] = std::ldexp(1.0f, -100);
+      for (int t = 0; t < k; ++t) a[2 * k + t] = 0.0f;
+      b[n - 1] = std::ldexp(1.0f, 72);
+      c[n] = nan;
+      c[n + 1] = inf;
+      const telemetry::Snapshot before = telemetry::snapshot();
+      engine.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n, c.data(), n);
+      const telemetry::Snapshot mid = telemetry::snapshot();
+
+      const int ck = 4;
+      std::vector<std::complex<float>> ca(m * ck), cb(ck * n), cc(m * n);
+      for (auto& x : ca) x = {unit_range(rng), unit_range(rng)};
+      for (auto& x : cb) x = {unit_range(rng), unit_range(rng)};
+      for (auto& x : cc) x = {unit_range(rng), unit_range(rng)};
+      ca[0] = {std::ldexp(1.0f, 100), 1.0f};
+      ca[1] = {std::ldexp(1.0f, -100), 1.0f};
+      for (int t = 0; t < ck; ++t) ca[2 * ck + t] = {};
+      cb[n - 1] = {std::ldexp(1.0f, 72), 1.0f};
+      cc[n] = {nan, 1.0f};
+      cc[n + 1] = {1.0f, inf};
+      engine.gemm_fp32c_packed(m, n, ck, ca.data(), ck, cb.data(), n,
+                               cc.data(), n);
+      const telemetry::Snapshot after = telemetry::snapshot();
+#if M3XU_TELEMETRY_ENABLED
+      EXPECT_EQ(mid.counter_delta(before, "mxu.fp32.microkernel.blocks"), 1u);
+      EXPECT_EQ(
+          mid.counter_delta(before, "mxu.fp32.microkernel.pair_fallbacks"),
+          expected);
+      EXPECT_EQ(after.counter_delta(mid, "mxu.fp32c.microkernel.blocks"), 1u);
+      EXPECT_EQ(
+          after.counter_delta(mid, "mxu.fp32c.microkernel.pair_fallbacks"),
+          expected);
+#else
+      (void)expected;
+      (void)mid;
+      EXPECT_EQ(
+          after.counter_delta(before, "mxu.fp32.microkernel.pair_fallbacks"),
+          0u);
+#endif
+    }
+  }
 }
