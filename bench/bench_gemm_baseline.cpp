@@ -1,10 +1,9 @@
-// GEMM throughput baseline across the three M3XU routes: per-dot
+// GEMM throughput baseline across the two M3XU routes: per-dot
 // (re-running the data-assignment split inside the (i, j, k-chunk)
-// loop), packed (split once per panel, stream lane operands, one
-// output element at a time), and the register-blocked microkernel
-// (packed panels + 4x4 output blocks with pack-time exponent prescan).
-// Emits BENCH_gemm.json so later PRs have a perf trajectory to regress
-// against; also verifies all routes produce bit-identical C before
+// loop) and the register-blocked microkernel (packed panels + MR x NR
+// output blocks, partial at the edges, with pack-time exponent
+// prescan). Emits BENCH_gemm.json as a perf trajectory to regress
+// against; also verifies both routes produce bit-identical C before
 // reporting. Timing, JSON emission, and route attribution all go
 // through src/telemetry: each case brackets its timed reps with
 // registry snapshots, and the counter deltas become the
@@ -75,8 +74,8 @@ struct Case {
   double seconds;  // median of reps
   double gflops;
   // Registry snapshots bracketing the timed reps; the delta attributes
-  // engine routes (fused vs fallback chunks, microkernel blocks vs
-  // edge elements) to this case.
+  // engine routes (microkernel full blocks vs edge elements, pair
+  // fallbacks) to this case.
   telemetry::Snapshot before, after;
 };
 
@@ -180,18 +179,11 @@ PlanReport run_plan_case(const std::string& name, int m, int n, int k,
 }
 
 /// Route attribution for one precision family ("fp32" or "fp32c"):
-/// the packed case classifies chunks (fused exact-rounding fast path
-/// vs per-term fallback vs generic), the microkernel case splits
-/// output elements between 4x4 register blocks and the scalar edge
-/// path and reports how often a block pair degraded to the fallback.
+/// the microkernel case splits output elements between full register
+/// blocks and partial edge blocks and reports how often a block pair
+/// degraded to the generic fallback.
 void write_route_rates(telemetry::JsonWriter& w, const std::string& family,
-                       const std::string& json_prefix, const Case& packed,
-                       const Case& micro) {
-  const std::uint64_t fused = delta(packed, "mxu." + family + ".chunks.fused");
-  const std::uint64_t fallb =
-      delta(packed, "mxu." + family + ".chunks.fallback");
-  const std::uint64_t generic =
-      delta(packed, "mxu." + family + ".chunks.generic");
+                       const std::string& json_prefix, const Case& micro) {
   // Counted directly (mr*nr per register block) because the block
   // shape is now a per-engine config, not the compile-time constant.
   const std::uint64_t block_elems =
@@ -201,8 +193,6 @@ void write_route_rates(telemetry::JsonWriter& w, const std::string& family,
       delta(micro, "mxu." + family + ".microkernel.pair_chunks");
   const std::uint64_t pair_falls =
       delta(micro, "mxu." + family + ".microkernel.pair_fallbacks");
-  w.key(json_prefix + "_packed_fused_chunk_rate")
-      .value(ratio(fused, fused + fallb + generic), 6);
   w.key(json_prefix + "_microkernel_block_element_rate")
       .value(ratio(block_elems, block_elems + edge), 6);
   w.key(json_prefix + "_microkernel_pair_fallback_rate")
@@ -267,12 +257,9 @@ void run_thread_sweep(const std::string& prefix, int m, int n, int k,
     const char* route;
     core::M3xuConfig cfg;
   };
-  core::M3xuConfig packed_cfg;
-  packed_cfg.enable_microkernel = false;
   core::M3xuConfig perdot_cfg;
   perdot_cfg.force_generic = true;
   const RouteCfg routes[] = {{"microkernel", core::M3xuConfig{}},
-                             {"packed", packed_cfg},
                              {"perdot", perdot_cfg}};
   const double flops = flops_per_mnk * static_cast<double>(m) * n * k;
   for (const RouteCfg& r : routes) {
@@ -350,12 +337,8 @@ int main(int argc, char** argv) {
   const telemetry::Snapshot run_before = telemetry::snapshot();
   Rng rng(seed);
   // Per-dot and microkernel routes share the default engine (the
-  // per-dot entry points never reach the microkernel); the packed case
-  // pins the one-element-at-a-time packed path for comparison.
+  // per-dot entry points never reach the microkernel).
   const core::M3xuEngine engine;
-  core::M3xuConfig packed_cfg;
-  packed_cfg.enable_microkernel = false;
-  const core::M3xuEngine engine_packed(packed_cfg);
   std::vector<Case> cases;
   std::vector<SweepCurve> curves;
   bool bit_identical = true;
@@ -363,7 +346,7 @@ int main(int argc, char** argv) {
 
   {
     gemm::Matrix<float> a(m, k), b(k, n);
-    gemm::Matrix<float> c_perdot(m, n), c_packed(m, n), c_micro(m, n);
+    gemm::Matrix<float> c_perdot(m, n), c_micro(m, n);
     gemm::fill_random(a, rng);
     gemm::fill_random(b, rng);
     cases.push_back(time_case(
@@ -379,19 +362,11 @@ int main(int argc, char** argv) {
           });
         }));
     cases.push_back(time_case(
-        "m3xu_sgemm_packed", m, n, k, 2.0, reps, warmup, [&] {
-          c_packed.fill(0.0f);
-          gemm::run_sgemm(gemm::SgemmKernel::kM3xu, engine_packed, a, b,
-                          c_packed);
-        }));
-    cases.push_back(time_case(
         "m3xu_sgemm_microkernel", m, n, k, 2.0, reps, warmup, [&] {
           c_micro.fill(0.0f);
           gemm::run_sgemm(gemm::SgemmKernel::kM3xu, engine, a, b, c_micro);
         }));
     bit_identical = bit_identical &&
-                    std::memcmp(c_perdot.data(), c_packed.data(),
-                                c_perdot.size() * sizeof(float)) == 0 &&
                     std::memcmp(c_perdot.data(), c_micro.data(),
                                 c_perdot.size() * sizeof(float)) == 0;
     if (plan_mode) {
@@ -409,8 +384,7 @@ int main(int argc, char** argv) {
 
   {
     gemm::Matrix<std::complex<float>> a(cm, ck), b(ck, cn);
-    gemm::Matrix<std::complex<float>> c_perdot(cm, cn), c_packed(cm, cn);
-    gemm::Matrix<std::complex<float>> c_micro(cm, cn);
+    gemm::Matrix<std::complex<float>> c_perdot(cm, cn), c_micro(cm, cn);
     gemm::fill_random(a, rng);
     gemm::fill_random(b, rng);
     // 8 real flops per complex multiply-add.
@@ -426,20 +400,12 @@ int main(int argc, char** argv) {
           });
         }));
     cases.push_back(time_case(
-        "m3xu_cgemm_packed", cm, cn, ck, 8.0, reps, warmup, [&] {
-          c_packed.fill({});
-          gemm::run_cgemm(gemm::CgemmKernel::kM3xu, engine_packed, a, b,
-                          c_packed);
-        }));
-    cases.push_back(time_case(
         "m3xu_cgemm_microkernel", cm, cn, ck, 8.0, reps, warmup, [&] {
           c_micro.fill({});
           gemm::run_cgemm(gemm::CgemmKernel::kM3xu, engine, a, b, c_micro);
         }));
     bit_identical =
         bit_identical &&
-        std::memcmp(c_perdot.data(), c_packed.data(),
-                    c_perdot.size() * sizeof(std::complex<float>)) == 0 &&
         std::memcmp(c_perdot.data(), c_micro.data(),
                     c_perdot.size() * sizeof(std::complex<float>)) == 0;
     if (plan_mode) {
@@ -467,15 +433,11 @@ int main(int argc, char** argv) {
     std::abort();
   };
   const Case& sgemm_perdot = find_case("m3xu_sgemm_perdot");
-  const Case& sgemm_packed = find_case("m3xu_sgemm_packed");
   const Case& sgemm_micro = find_case("m3xu_sgemm_microkernel");
   const Case& cgemm_perdot = find_case("m3xu_cgemm_perdot");
-  const Case& cgemm_packed = find_case("m3xu_cgemm_packed");
   const Case& cgemm_micro = find_case("m3xu_cgemm_microkernel");
-  const double sgemm_speedup = sgemm_perdot.seconds / sgemm_packed.seconds;
-  const double sgemm_micro_speedup = sgemm_packed.seconds / sgemm_micro.seconds;
-  const double cgemm_speedup = cgemm_perdot.seconds / cgemm_packed.seconds;
-  const double cgemm_micro_speedup = cgemm_packed.seconds / cgemm_micro.seconds;
+  const double sgemm_speedup = sgemm_perdot.seconds / sgemm_micro.seconds;
+  const double cgemm_speedup = cgemm_perdot.seconds / cgemm_micro.seconds;
 
   const telemetry::Environment env = telemetry::collect_environment();
   const telemetry::Snapshot run_after = telemetry::snapshot();
@@ -494,18 +456,17 @@ int main(int argc, char** argv) {
                 static_cast<std::uint64_t>(threads));
 
   if (!cli.get_bool("json-only", false)) {
-    std::printf("== GEMM baseline: per-dot vs packed vs microkernel ==\n");
+    std::printf("== GEMM baseline: per-dot vs microkernel ==\n");
     std::printf("%-24s %6s %6s %6s %10s %10s\n", "case", "m", "n", "k",
                 "seconds", "GFLOP/s");
     for (const Case& c : cases) {
       std::printf("%-24s %6d %6d %6d %10.3f %10.3f\n", c.name.c_str(), c.m,
                   c.n, c.k, c.seconds, c.gflops);
     }
-    std::printf("\nsgemm: packed %.2fx over per-dot, microkernel %.2fx over "
-                "packed\ncgemm: packed %.2fx over per-dot, microkernel %.2fx "
-                "over packed\nbit-identical: %s   simd: %s   threads: %zu\n\n",
-                sgemm_speedup, sgemm_micro_speedup, cgemm_speedup,
-                cgemm_micro_speedup, bit_identical ? "yes" : "NO",
+    std::printf("\nsgemm: microkernel %.2fx over per-dot\ncgemm: microkernel "
+                "%.2fx over per-dot\nbit-identical: %s   simd: %s   threads: "
+                "%zu\n\n",
+                sgemm_speedup, cgemm_speedup, bit_identical ? "yes" : "NO",
                 variant_name, threads);
     for (const SweepCurve& curve : curves) {
       std::printf("scaling %-20s", curve.name.c_str());
@@ -558,13 +519,11 @@ int main(int argc, char** argv) {
     w.end_object();
   }
   w.end_array();
-  w.key("sgemm_speedup_packed_vs_perdot").value(sgemm_speedup, 4);
-  w.key("sgemm_speedup_microkernel_vs_packed").value(sgemm_micro_speedup, 4);
-  w.key("cgemm_speedup_packed_vs_perdot").value(cgemm_speedup, 4);
-  w.key("cgemm_speedup_microkernel_vs_packed").value(cgemm_micro_speedup, 4);
+  w.key("sgemm_speedup_microkernel_vs_perdot").value(sgemm_speedup, 4);
+  w.key("cgemm_speedup_microkernel_vs_perdot").value(cgemm_speedup, 4);
   w.key("route_hit_rates").begin_object();
-  write_route_rates(w, "fp32", "sgemm", sgemm_packed, sgemm_micro);
-  write_route_rates(w, "fp32c", "cgemm", cgemm_packed, cgemm_micro);
+  write_route_rates(w, "fp32", "sgemm", sgemm_micro);
+  write_route_rates(w, "fp32c", "cgemm", cgemm_micro);
   w.key("threadpool_utilization").value(pool_util, 6);
   w.end_object();
   if (!curves.empty()) {

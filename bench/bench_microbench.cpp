@@ -221,12 +221,14 @@ void BM_TiledSgemm(benchmark::State& state) {
 }
 BENCHMARK(BM_TiledSgemm);
 
-/// One microkernel block over K = 512: args are (complex, block edge
-/// 4 or 8, MkVariant). C resets every call so it never overflows into
-/// the Inf route. Reports ns_per_mac (a complex MAC counts as 4).
+/// One full microkernel block over K = 512: args are (complex, block
+/// side 4 or 8, MkVariant). The prepacked call covers exactly one
+/// side x side register block, so no partial edge block runs. C resets
+/// every call so it never overflows into the Inf route. Reports
+/// ns_per_mac (a complex MAC counts as 4).
 void BM_MicrokernelBlock(benchmark::State& state) {
   const bool complex = state.range(0) != 0;
-  const int edge = static_cast<int>(state.range(1));
+  const int side = static_cast<int>(state.range(1));
   const auto variant = static_cast<core::MkVariant>(state.range(2));
   if (!core::mk_variant_available(variant)) {
     state.SkipWithError("variant unavailable on this host");
@@ -235,45 +237,45 @@ void BM_MicrokernelBlock(benchmark::State& state) {
   constexpr int k = 512;
   core::M3xuConfig cfg;
   cfg.mk_variant = variant;
-  cfg.mk_mr = edge;
-  cfg.mk_nr = edge;
+  cfg.mk_mr = side;
+  cfg.mk_nr = side;
   const core::M3xuEngine engine(cfg);
   Rng rng(14);
-  double macs = static_cast<double>(edge) * edge * k;
+  double macs = static_cast<double>(side) * side * k;
   if (complex) {
-    std::vector<std::complex<float>> a(edge * k), b(k * edge);
+    std::vector<std::complex<float>> a(side * k), b(k * side);
     for (auto& v : a) v = {rng.scaled_float(), rng.scaled_float()};
     for (auto& v : b) v = {rng.scaled_float(), rng.scaled_float()};
     core::PackedPanelFp32cA pa;
     core::PackedPanelFp32cB pb;
-    core::pack_fp32c_a(a.data(), k, edge, k, pa);
-    core::pack_fp32c_b(b.data(), edge, k, edge, pb);
-    std::vector<std::complex<float>> c(edge * edge);
+    core::pack_fp32c_a(a.data(), k, side, k, pa);
+    core::pack_fp32c_b(b.data(), side, k, side, pb);
+    std::vector<std::complex<float>> c(side * side);
     for (auto _ : state) {
       std::fill(c.begin(), c.end(), std::complex<float>{});
-      engine.gemm_fp32c_prepacked(pa, 0, pb, 0, edge, edge, c.data(), edge);
+      engine.gemm_fp32c_prepacked(pa, 0, pb, 0, side, side, c.data(), side);
       benchmark::DoNotOptimize(c.data());
       benchmark::ClobberMemory();
     }
     macs *= 4;
   } else {
-    std::vector<float> a(edge * k), b(k * edge);
+    std::vector<float> a(side * k), b(k * side);
     for (auto& v : a) v = rng.scaled_float();
     for (auto& v : b) v = rng.scaled_float();
     core::PackedPanelFp32A pa;
     core::PackedPanelFp32B pb;
-    core::pack_fp32_a(a.data(), k, edge, k, pa);
-    core::pack_fp32_b(b.data(), edge, k, edge, pb);
-    std::vector<float> c(edge * edge);
+    core::pack_fp32_a(a.data(), k, side, k, pa);
+    core::pack_fp32_b(b.data(), side, k, side, pb);
+    std::vector<float> c(side * side);
     for (auto _ : state) {
       std::fill(c.begin(), c.end(), 0.0f);
-      engine.gemm_fp32_prepacked(pa, 0, pb, 0, edge, edge, c.data(), edge);
+      engine.gemm_fp32_prepacked(pa, 0, pb, 0, side, side, c.data(), side);
       benchmark::DoNotOptimize(c.data());
       benchmark::ClobberMemory();
     }
   }
   state.SetLabel(std::string(complex ? "cgemm " : "sgemm ") +
-                 std::to_string(edge) + "x" + std::to_string(edge) + " " +
+                 std::to_string(side) + "x" + std::to_string(side) + " " +
                  core::mk_variant_name(variant));
   // Inverted iteration-invariant rate: seconds per (macs * 1e-9) = ns/MAC.
   state.counters["ns_per_mac"] = benchmark::Counter(

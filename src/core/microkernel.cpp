@@ -10,7 +10,6 @@
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
-#include "core/fused_round.hpp"
 #include "fp/exact_accumulator.hpp"
 #include "fp/ext_float.hpp"
 #include "fp/unpacked.hpp"
@@ -39,12 +38,14 @@ namespace {
 
 // Route counters (no-ops when M3XU_TELEMETRY=OFF). Increments are
 // accumulated in block-local variables and flushed once per block so
-// the lane loops stay free of TLS lookups. block_elements counts the
-// output elements a block covered (blocks alone no longer determine
-// that now that the register-block shape varies). pair_fallbacks
-// counts the (i, j, chunk) triples whose window failed the span check;
-// lanes sent to the generic path only because their register is
-// Inf/NaN are not fallbacks.
+// the lane loops stay free of TLS lookups. blocks and block_elements
+// count full MR x NR blocks only (the engine counts the outputs of
+// partial blocks as elements.edge), so block_elements / blocks is the
+// dispatched shape. pair_chunks counts the (i, j, chunk) triples of the
+// block's valid lanes; pair_fallbacks those whose window failed the
+// span check - lanes sent to the generic path only because their
+// register is Inf/NaN are not fallbacks, and masked lanes of a partial
+// block count nowhere.
 telemetry::Counter uk_fp32_blocks("mxu.fp32.microkernel.blocks");
 telemetry::Counter uk_fp32_elems("mxu.fp32.microkernel.block_elements");
 telemetry::Counter uk_fp32_pairs("mxu.fp32.microkernel.pair_chunks");
@@ -298,15 +299,29 @@ void decode_a(const LaneOperand* src, int ns, const PanelChunkMeta& m,
   out.finite = finite_chunk(m);
 }
 
-/// Decodes `ns` slots of NR consecutive B columns into slot-major
-/// lanes. `src` is column 0's chunk start, `stride` the lane distance
-/// between columns, `meta` column 0's chunk entry and `mstride` the
-/// entry distance between columns.
+/// Decodes `ns` slots of the first `cols` of NR consecutive B columns
+/// into slot-major lanes. `src` is column 0's chunk start, `stride` the
+/// lane distance between columns, `meta` column 0's chunk entry and
+/// `mstride` the entry distance between columns. Lanes at and beyond
+/// `cols` (a partial block's masked columns) become all-zero columns
+/// with no finite terms, which resolve in-lane: nothing past the
+/// block's last column is read.
 template <int NR>
 void decode_b(const LaneOperand* src, std::size_t stride,
               const PanelChunkMeta* meta, std::size_t mstride, int ns,
-              BSlots<NR>& out) {
-  for (int j = 0; j < NR; ++j) {
+              int cols, BSlots<NR>& out) {
+  for (int j = cols; j < NR; ++j) {
+    for (int t = 0; t < kMaxSlots; ++t) {
+      out.hi[t][j] = 0;
+      out.lo[t][j] = 0;
+      out.sh[t][j] = 0;
+      out.neg[t][j] = 0;
+    }
+    out.min_exp[j] = 0;
+    out.max_exp[j] = 0;
+    out.finite[j] = 0;
+  }
+  for (int j = 0; j < cols; ++j) {
     const PanelChunkMeta& m = meta[j * mstride];
     const LaneOperand* col = src + j * stride;
     const int fill = fill_exp(m);
@@ -345,11 +360,11 @@ inline void prefetch_lanes(const LaneOperand* lanes, int count) {
 // terms exactly relative to its own window floor t_lo (= min_a +
 // min_b[j]), then per step folds in its register, normalizes and
 // rounds to accum_prec, and at the chunk end packs to FP32 - the same
-// arithmetic as ExactAccumulator's reg' = RNE_prec(reg + exact sum)
-// (core/fused_round.hpp), so any exact evaluation order gives the same
-// bits. `kImag` selects the FP32C imaginary-part pairing: A slot t
-// meets B slot t^1, and odd A slots flip sign to undo the real-part
-// order's -AI pre-negation.
+// arithmetic as ExactAccumulator's reg' = RNE_prec(reg + exact sum),
+// and every stage but that one rounding is exact, so any exact
+// evaluation order gives the same bits. `kImag` selects the FP32C
+// imaginary-part pairing: A slot t meets B slot t^1, and odd A slots
+// flip sign to undo the real-part order's -AI pre-negation.
 //
 // A lane the window cannot prove safe is reported, not computed:
 //   - counted: the span from the lowest to the highest bit of the
@@ -367,6 +382,54 @@ struct RowOutcome {
 };
 
 using u128 = unsigned __int128;
+
+/// Final RNE of an extracted magnitude window to `prec` bits (value =
+/// top64 * 2^(lead_exp - 63), plus sticky dust below). Mirrors
+/// ExactAccumulator's round_window + round_to_precision tail; prec is
+/// in [24, 63] here, so round_window's keep < 64 branch always applies.
+inline void finish_round(std::uint64_t top64, bool st, bool negative,
+                         int lead_exp, int prec, fp::Unpacked* out) {
+  const int r = 64 - prec;
+  std::uint64_t sig = top64 >> r;
+  const std::uint64_t guard = (top64 >> (r - 1)) & 1;
+  const bool sticky = st || (r > 1 && (top64 & low_mask(r - 1)) != 0);
+  if (guard && (sticky || (sig & 1))) ++sig;
+  if (sig >> prec) {
+    sig >>= 1;
+    ++lead_exp;
+  }
+  out->cls = fp::FpClass::kNormal;
+  out->sign = negative;
+  out->exp = lead_exp;
+  out->sig = sig << (fp::Unpacked::kSigTop - (prec - 1));
+}
+
+/// RNE_prec of a 128-bit two's-complement sum whose bit 0 has weight
+/// 2^lo. The caller guarantees the magnitude's leading bit is at
+/// position <= 126 (window span checked before accumulating). A zero
+/// sum yields exact +0 - the same bits ExactAccumulator produces for an
+/// exactly cancelled (or empty) sum.
+inline void round_sum128(u128 sum, int lo, int prec, fp::Unpacked* out) {
+  const bool negative = (static_cast<std::uint64_t>(sum >> 64) >> 63) != 0;
+  if (negative) sum = -sum;
+  if (sum == 0) {
+    *out = {};  // exact cancellation to zero
+    return;
+  }
+  const std::uint64_t hi64 = static_cast<std::uint64_t>(sum >> 64);
+  const std::uint64_t lo64 = static_cast<std::uint64_t>(sum);
+  const int h = hi64 ? 64 + highest_bit(hi64) : highest_bit(lo64);
+  std::uint64_t top64 = 0;
+  bool st = false;
+  const int lo_index = h - 63;  // in (-64, 63]: h <= 126 by the span check
+  if (lo_index > 0) {
+    top64 = static_cast<std::uint64_t>(sum >> lo_index);
+    st = (lo64 & low_mask(lo_index)) != 0;
+  } else {
+    top64 = lo64 << -lo_index;
+  }
+  finish_round(top64, st, negative, lo + h, prec, out);
+}
 
 /// Adds `reg` to the exact term sum `sum` (lsb weight 2^t_lo) and
 /// rounds to `prec` into `reg`. Returns false when the combined window
@@ -390,7 +453,7 @@ bool fold_round(u128 sum, int t_lo, int t_hi, int prec, fp::Unpacked& reg) {
     const u128 v = static_cast<u128>(rsig) << (rexp - lo);
     sum = reg.sign ? sum - v : sum + v;
   }
-  detail::round_sum128(sum, lo, prec, &reg);
+  round_sum128(sum, lo, prec, &reg);
   return true;
 }
 
@@ -744,17 +807,23 @@ void generic_fp32c_chunk(const PackedPanelFp32cA& a, int row,
 // resolved variant's lane body, chosen once per block) and the register
 // semantics. Per chunk, the NR B columns decode once, slot-major; each
 // A row decodes once and its NR lanes run in one row-body call.
+//
+// A partial block (rows < MR or cols < NR, at the edges of the output)
+// runs the same body: rows past `rows` are skipped, and the columns
+// past `cols` are masked lanes - zero B columns over a +0 register,
+// which stream in-lane and are never loaded from or stored to C, nor
+// re-run generically.
 
 template <int MR, int NR, class K, bool kPerStep>
 void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
-                int col0, const DpUnit& unit, const MicrokernelParams& p,
-                float* c, int ldc) {
+                int col0, int rows, int cols, const DpUnit& unit,
+                const MicrokernelParams& p, float* c, int ldc) {
   const int k = a.k;
   const int nchunks = panel_chunk_count(k, kPackChunkFp32);
   const std::size_t bstride = static_cast<std::size_t>(k) * 2;
-  float acc[MR][NR];
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < NR; ++j) acc[i][j] = c[i * ldc + j];
+  float acc[MR][NR] = {};
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) acc[i][j] = c[i * ldc + j];
   }
   ASlots arow{};
   BSlots<NR> bcols{};
@@ -767,12 +836,12 @@ void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
       // chunk's decode and lane sums compute hide the latency.
       const int nk0 = k0 + kPackChunkFp32;
       const int nkc = std::min(kPackChunkFp32, k - nk0);
-      for (int i = 0; i < MR; ++i) {
+      for (int i = 0; i < rows; ++i) {
         prefetch_lanes(
             a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + nk0) * 2,
             2 * nkc);
       }
-      for (int j = 0; j < NR; ++j) {
+      for (int j = 0; j < cols; ++j) {
         prefetch_lanes(
             b.like.data() + (static_cast<std::size_t>(col0 + j) * k + nk0) * 2,
             2 * nkc);
@@ -782,15 +851,15 @@ void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
                      static_cast<std::size_t>(k0) * 2,
                  bstride,
                  &b.meta[static_cast<std::size_t>(col0) * nchunks + ch],
-                 nchunks, kc, bcols);
-    for (int i = 0; i < MR; ++i) {
+                 nchunks, kc, cols, bcols);
+    for (int i = 0; i < rows; ++i) {
       decode_a(
           a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + k0) * 2,
           kc, a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch], arow);
       float out[NR] = {};
       const RowOutcome o = K::template row<NR, kPerStep, false>(
           arow, bcols, acc[i], out, p.accum_prec);
-      for (int j = 0; j < NR; ++j) {
+      for (int j = 0; j < cols; ++j) {
         if (o.generic & (1u << j)) {
           generic_fp32_chunk(a, row0 + i, b, col0 + j, k0, kc, unit, p,
                              &acc[i][j]);
@@ -801,27 +870,29 @@ void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
       fallbacks += static_cast<unsigned>(std::popcount(o.counted));
     }
   }
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < NR; ++j) c[i * ldc + j] = acc[i][j];
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) c[i * ldc + j] = acc[i][j];
   }
-  uk_fp32_blocks.increment();
-  uk_fp32_elems.add(static_cast<std::uint64_t>(MR) * NR);
-  uk_fp32_pairs.add(static_cast<std::uint64_t>(nchunks) * MR * NR);
+  if (rows == MR && cols == NR) {
+    uk_fp32_blocks.increment();
+    uk_fp32_elems.add(static_cast<std::uint64_t>(MR) * NR);
+  }
+  uk_fp32_pairs.add(static_cast<std::uint64_t>(nchunks) * rows * cols);
   uk_fp32_falls.add(fallbacks);
 }
 
 template <int MR, int NR, class K, bool kPerStep>
 void fp32c_block(const PackedPanelFp32cA& a, int row0,
-                 const PackedPanelFp32cB& b, int col0, const DpUnit& unit,
-                 const MicrokernelParams& p, std::complex<float>* c,
-                 int ldc) {
+                 const PackedPanelFp32cB& b, int col0, int rows, int cols,
+                 const DpUnit& unit, const MicrokernelParams& p,
+                 std::complex<float>* c, int ldc) {
   const int k = a.k;
   const int nchunks = panel_chunk_count(k, kPackChunkFp32c);
   const std::size_t bstride = static_cast<std::size_t>(k) * 4;
-  float acc_re[MR][NR];
-  float acc_im[MR][NR];
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < NR; ++j) {
+  float acc_re[MR][NR] = {};
+  float acc_im[MR][NR] = {};
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
       acc_re[i][j] = c[i * ldc + j].real();
       acc_im[i][j] = c[i * ldc + j].imag();
     }
@@ -839,12 +910,12 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
     if (p.prefetch && ch + 1 < nchunks) {
       const int nk0 = k0 + kPackChunkFp32c;
       const int nkc = std::min(kPackChunkFp32c, k - nk0);
-      for (int i = 0; i < MR; ++i) {
+      for (int i = 0; i < rows; ++i) {
         prefetch_lanes(a.real_lanes.data() +
                            (static_cast<std::size_t>(row0 + i) * k + nk0) * 4,
                        4 * nkc);
       }
-      for (int j = 0; j < NR; ++j) {
+      for (int j = 0; j < cols; ++j) {
         prefetch_lanes(b.real_like.data() +
                            (static_cast<std::size_t>(col0 + j) * k + nk0) * 4,
                        4 * nkc);
@@ -854,8 +925,8 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
                      static_cast<std::size_t>(k0) * 4,
                  bstride,
                  &b.meta[static_cast<std::size_t>(col0) * nchunks + ch],
-                 nchunks, 2 * kc, bcols);
-    for (int i = 0; i < MR; ++i) {
+                 nchunks, 2 * kc, cols, bcols);
+    for (int i = 0; i < rows; ++i) {
       decode_a(a.real_lanes.data() +
                    (static_cast<std::size_t>(row0 + i) * k + k0) * 4,
                2 * kc,
@@ -870,7 +941,7 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
       // the whole chunk (both registers) re-runs generically from the
       // original accumulators.
       const unsigned generic = ore.generic | oim.generic;
-      for (int j = 0; j < NR; ++j) {
+      for (int j = 0; j < cols; ++j) {
         if (generic & (1u << j)) {
           generic_fp32c_chunk(a, row0 + i, b, col0 + j, k0, kc, unit, p,
                               &acc_re[i][j], &acc_im[i][j]);
@@ -883,14 +954,16 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
           static_cast<unsigned>(std::popcount(ore.counted | oim.counted));
     }
   }
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < NR; ++j) {
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
       c[i * ldc + j] = {acc_re[i][j], acc_im[i][j]};
     }
   }
-  uk_fp32c_blocks.increment();
-  uk_fp32c_elems.add(static_cast<std::uint64_t>(MR) * NR);
-  uk_fp32c_pairs.add(static_cast<std::uint64_t>(nchunks) * MR * NR);
+  if (rows == MR && cols == NR) {
+    uk_fp32c_blocks.increment();
+    uk_fp32c_elems.add(static_cast<std::uint64_t>(MR) * NR);
+  }
+  uk_fp32c_pairs.add(static_cast<std::uint64_t>(nchunks) * rows * cols);
   uk_fp32c_falls.add(fallbacks);
 }
 
@@ -941,28 +1014,33 @@ void dispatch(const MicrokernelParams& p, Body&& body) {
 }  // namespace
 
 void microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
-                            const PackedPanelFp32B& b, int col0,
-                            const DpUnit& unit, const MicrokernelParams& p,
-                            float* c, int ldc) {
+                            const PackedPanelFp32B& b, int col0, int rows,
+                            int cols, const DpUnit& unit,
+                            const MicrokernelParams& p, float* c, int ldc) {
   M3XU_CHECK(a.k == b.k);
   M3XU_CHECK(!a.has_special && !b.has_special);
-  M3XU_CHECK(row0 >= 0 && row0 + p.mr <= a.rows);
-  M3XU_CHECK(col0 >= 0 && col0 + p.nr <= b.cols);
+  M3XU_CHECK(rows >= 1 && rows <= p.mr && cols >= 1 && cols <= p.nr);
+  M3XU_CHECK(row0 >= 0 && row0 + rows <= a.rows);
+  M3XU_CHECK(col0 >= 0 && col0 + cols <= b.cols);
   dispatch(p, [&]<int MR, int NR, class K, bool kPerStep>() {
-    fp32_block<MR, NR, K, kPerStep>(a, row0, b, col0, unit, p, c, ldc);
+    fp32_block<MR, NR, K, kPerStep>(a, row0, b, col0, rows, cols, unit, p, c,
+                                    ldc);
   });
 }
 
 void microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
-                             const PackedPanelFp32cB& b, int col0,
-                             const DpUnit& unit, const MicrokernelParams& p,
+                             const PackedPanelFp32cB& b, int col0, int rows,
+                             int cols, const DpUnit& unit,
+                             const MicrokernelParams& p,
                              std::complex<float>* c, int ldc) {
   M3XU_CHECK(a.k == b.k);
   M3XU_CHECK(!a.has_special && !b.has_special);
-  M3XU_CHECK(row0 >= 0 && row0 + p.mr <= a.rows);
-  M3XU_CHECK(col0 >= 0 && col0 + p.nr <= b.cols);
+  M3XU_CHECK(rows >= 1 && rows <= p.mr && cols >= 1 && cols <= p.nr);
+  M3XU_CHECK(row0 >= 0 && row0 + rows <= a.rows);
+  M3XU_CHECK(col0 >= 0 && col0 + cols <= b.cols);
   dispatch(p, [&]<int MR, int NR, class K, bool kPerStep>() {
-    fp32c_block<MR, NR, K, kPerStep>(a, row0, b, col0, unit, p, c, ldc);
+    fp32c_block<MR, NR, K, kPerStep>(a, row0, b, col0, rows, cols, unit, p, c,
+                                     ldc);
   });
 }
 

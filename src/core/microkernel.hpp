@@ -1,10 +1,11 @@
 // Register-blocked microkernel for the packed M3XU datapath.
 //
-// The per-element prepacked path (mxu.cpp) re-decodes the same A lane
-// operands for every output column, re-reads the B lanes for every row,
-// and re-derives the fused-round exponent window per dot product. The
-// microkernel computes an MR x NR output block per pass over the packed
-// K lanes instead:
+// The streaming route of the prepacked entry points (mxu.cpp): every
+// output of a special-free, injector-free GEMM is computed here, in
+// MR x NR output blocks, one pass over the packed K lanes per block.
+// Blocks at the right and bottom edges of the output are partial (rows
+// < MR, cols < NR) and run the same body with the missing columns
+// masked out. Per block:
 //
 //   - per K-chunk, the NR B columns decode once into slot-major lanes
 //     and each A row decodes once; the prescan windows
@@ -19,15 +20,16 @@
 //     the AVX2 variant 4, and the scalar variant loops over the lanes.
 //
 // Bit-identity: each architectural step still computes
-// reg' = RNE_prec(reg + exact step sum), and chunk boundaries still
-// pack the register to FP32, so results are bit-identical to the
-// per-dot ExactAccumulator route (core/fused_round.hpp documents why).
-// A lane the prescan cannot prove safe - a window span over 118 bits,
-// or an Inf/NaN register - is masked out of the lane result and its
-// chunk re-runs through the generic ExactAccumulator path on the same
-// panel slices. Callers must keep injector-attached runs on the
-// per-element path: the microkernel has no fault hooks, by design
-// (fault-site opportunity order is defined by the per-dot schedule).
+// reg' = RNE_prec(reg + exact step sum) with the inner sum exact, and
+// chunk boundaries still pack the register to FP32, so any exact
+// evaluation order gives the bits of the per-dot ExactAccumulator
+// route. A lane the prescan cannot prove safe - a window span over 118
+// bits, or an Inf/NaN register - is masked out of the lane result and
+// its chunk re-runs through the generic ExactAccumulator path on the
+// same panel slices. Callers must keep injector-attached runs on the
+// per-element generic path: the microkernel has no fault hooks, by
+// design (fault-site opportunity order is defined by the per-dot
+// schedule).
 #pragma once
 
 #include <complex>
@@ -99,19 +101,39 @@ struct MicrokernelParams {
   bool prefetch = true;
 };
 
-/// Computes the p.mr x p.nr block C += A*B at panel offset
-/// (row0, col0) over the panels' full K. `c` points at the block's
-/// top-left output element. Requires row0+p.mr <= a.rows,
-/// col0+p.nr <= b.cols, a.k == b.k, special-free panels and
-/// p.accum_prec in [24, 63].
+/// Computes the rows x cols block C += A*B at panel offset
+/// (row0, col0) over the panels' full K, in a p.mr x p.nr register
+/// block: 1 <= rows <= p.mr and 1 <= cols <= p.nr, so one call also
+/// covers a partial edge block. `c` points at the block's top-left
+/// output element; only the rows x cols outputs are read or written.
+/// Requires row0+rows <= a.rows, col0+cols <= b.cols, a.k == b.k,
+/// special-free panels and p.accum_prec in [24, 63].
 void microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
-                            const PackedPanelFp32B& b, int col0,
-                            const DpUnit& unit, const MicrokernelParams& p,
-                            float* c, int ldc);
+                            const PackedPanelFp32B& b, int col0, int rows,
+                            int cols, const DpUnit& unit,
+                            const MicrokernelParams& p, float* c, int ldc);
 
 void microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
-                             const PackedPanelFp32cB& b, int col0,
-                             const DpUnit& unit, const MicrokernelParams& p,
+                             const PackedPanelFp32cB& b, int col0, int rows,
+                             int cols, const DpUnit& unit,
+                             const MicrokernelParams& p,
                              std::complex<float>* c, int ldc);
+
+/// The full p.mr x p.nr block.
+inline void microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
+                                   const PackedPanelFp32B& b, int col0,
+                                   const DpUnit& unit,
+                                   const MicrokernelParams& p, float* c,
+                                   int ldc) {
+  microkernel_fp32_block(a, row0, b, col0, p.mr, p.nr, unit, p, c, ldc);
+}
+
+inline void microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
+                                    const PackedPanelFp32cB& b, int col0,
+                                    const DpUnit& unit,
+                                    const MicrokernelParams& p,
+                                    std::complex<float>* c, int ldc) {
+  microkernel_fp32c_block(a, row0, b, col0, p.mr, p.nr, unit, p, c, ldc);
+}
 
 }  // namespace m3xu::core

@@ -3,9 +3,7 @@
 #include <array>
 #include <vector>
 
-#include "common/bits.hpp"
 #include "common/check.hpp"
-#include "core/fused_round.hpp"
 #include "core/microkernel.hpp"
 #include "fault/injector.hpp"
 #include "telemetry/telemetry.hpp"
@@ -16,22 +14,18 @@ namespace m3xu::core {
 namespace {
 
 // Route counters for the FP32/FP32c datapaths (no-ops when
-// M3XU_TELEMETRY=OFF). "chunks" are kc_max-element dot fragments:
-// fused = streaming fast path, fallback = streaming chunk the fused
-// kernel rejected (wide exponent span / term overflow), generic =
-// per-dot reassembly because the panel holds specials or an injector
-// is attached. "elements" attribute whole C outputs to the route that
-// produced them. Counts are accumulated in function-local variables
-// and flushed once per call.
-telemetry::Counter rt_fp32_fused("mxu.fp32.chunks.fused");
-telemetry::Counter rt_fp32_fallback("mxu.fp32.chunks.fallback");
+// M3XU_TELEMETRY=OFF). "chunks.generic" counts kc_max-element dot
+// fragments reassembled per dot because the panel holds specials, an
+// injector is attached or the engine forces the generic route.
+// "elements" attribute whole C outputs to the route that produced
+// them: edge = outputs of the microkernel's partial edge blocks (its
+// own block_elements counter covers the full blocks). Counts are
+// accumulated in function-local variables and flushed once per call.
 telemetry::Counter rt_fp32_generic("mxu.fp32.chunks.generic");
 telemetry::Counter rt_fp32_edge("mxu.fp32.elements.edge");
 telemetry::Counter rt_fp32_special("mxu.fp32.elements.bypass_special");
 telemetry::Counter rt_fp32_inject("mxu.fp32.elements.bypass_injector");
 telemetry::Counter rt_fp32_perdot("mxu.fp32.elements.perdot");
-telemetry::Counter rt_fp32c_fused("mxu.fp32c.chunks.fused");
-telemetry::Counter rt_fp32c_fallback("mxu.fp32c.chunks.fallback");
 telemetry::Counter rt_fp32c_generic("mxu.fp32c.chunks.generic");
 telemetry::Counter rt_fp32c_edge("mxu.fp32c.elements.edge");
 telemetry::Counter rt_fp32c_special("mxu.fp32c.elements.bypass_special");
@@ -42,19 +36,14 @@ inline std::uint64_t area(int rows, int cols) {
   return static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols);
 }
 
-// Attributes non-fast-path route decisions to the active request
-// trace, if one is installed on this thread (the tiled driver installs
-// it around each tile). event_once keeps the per-request log bounded
-// no matter how many panel calls the request issues.
-inline void trace_route_decisions(const char* fallback_name,
-                                  const char* generic_name,
-                                  std::uint64_t n_fallback,
-                                  std::uint64_t n_generic) {
-  if (n_fallback == 0 && n_generic == 0) return;
+// Attributes generic-route chunks to the active request trace, if one
+// is installed on this thread (the tiled driver installs it around
+// each tile). event_once keeps the per-request log bounded no matter
+// how many panel calls the request issues.
+inline void trace_route_generic(const char* name, std::uint64_t n_generic) {
+  if (n_generic == 0) return;
   telemetry::TraceContext* const t = telemetry::current_trace_context();
-  if (t == nullptr) return;
-  if (n_fallback != 0) t->event_once(fallback_name);
-  if (n_generic != 0) t->event_once(generic_name);
+  if (t != nullptr) t->event_once(name);
 }
 
 }  // namespace
@@ -385,11 +374,12 @@ void M3xuEngine::gemm_fp64c(int m, int n, int k,
 
 // --- Packed-operand fast path -----------------------------------------
 //
-// Streaming case (no specials in either panel, no injector): each
-// step's operand buffers are contiguous slices of the packed panels, so
-// the inner loop is pointer arithmetic plus the fused step kernel below
-// - no allocation, no split, no gather. Otherwise the steps are
-// reassembled per dot from the packed lanes in the exact order of
+// Streaming case (no specials in either panel, no injector, no
+// force_generic): the register-blocked microkernel computes every
+// output, in MR x NR blocks - partial blocks at the right and bottom
+// edges included - straight from the packed panels, with no
+// allocation, split or gather. Otherwise the steps are reassembled per
+// dot from the packed lanes in the exact order of
 // DataAssignmentStage::schedule_fp32/fp32c (element-level special
 // bypass depends on the operand *pair*, and operand-buffer fault
 // opportunities must fire in the per-dot order), into thread-local
@@ -397,227 +387,17 @@ void M3xuEngine::gemm_fp64c(int m, int n, int k,
 
 namespace {
 
-// --- Fused streaming step kernel --------------------------------------
-//
-// One architectural step of the streaming packed path computes exactly
-//
-//     reg' = RNE_prec(reg + sum_i (-1)^s_i * sig_i * 2^e_i)
-//
-// with the inner sum exact (DpUnit::accumulate_dot into an
-// ExactAccumulator, then ExtFloat::plus_exact rounds once). Because
-// every stage is exact up to the single final rounding, any exact
-// evaluation order produces identical bits. This kernel evaluates the
-// sum in a 256-bit local two's-complement window - the ExactAccumulator
-// route costs a 576-byte zero-fill, two full-array copies, and a
-// 72-word scan per step - and reports failure (the caller re-runs the
-// chunk through the generic path) whenever the operand exponent span
-// does not fit the window or a lane needs NaN/Inf handling.
-
-struct StreamTerm {
-  bool sign;
-  std::uint64_t sig;  // nonzero product of two sub-32-bit significands
-  int exp;            // weight of sig's least significant bit
-};
-
-constexpr int kMaxStreamTerms = 64;
-
-/// Appends one step's finite-lane products to `terms` starting at
-/// `count`. Returns the new count, or -1 when the step must take the
-/// generic path (a NaN/Inf lane class or buffer overflow).
-int collect_products(std::span<const LaneOperand> a,
-                     std::span<const LaneOperand> b, StreamTerm* terms,
-                     int count) {
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const LaneOperand& x = a[i];
-    const LaneOperand& y = b[i];
-    if (x.cls == LaneOperand::Cls::kFinite &&
-        y.cls == LaneOperand::Cls::kFinite) {
-      if (count == kMaxStreamTerms) return -1;
-      terms[count++] = {static_cast<bool>(x.sign ^ y.sign), x.sig * y.sig,
-                        x.exp2 + y.exp2};
-      continue;
-    }
-    if (x.cls == LaneOperand::Cls::kNaN || y.cls == LaneOperand::Cls::kNaN ||
-        x.cls == LaneOperand::Cls::kInf || y.cls == LaneOperand::Cls::kInf) {
-      return -1;
-    }
-    // At least one kZero operand: the lane contributes nothing.
-  }
-  return count;
+/// The microkernel parameters of the engine's streaming route.
+MicrokernelParams mk_params(const M3xuConfig& cfg) {
+  const MkBlockShape blk =
+      mk_block_resolve(cfg.mk_mr, cfg.mk_nr, cfg.mk_variant);
+  return {cfg.per_step_rounding, cfg.accum_prec, cfg.mk_variant,
+          blk.mr,                blk.nr,         cfg.mk_prefetch};
 }
 
-/// RNE_prec(c + sum of terms), bit-identical to accumulating into an
-/// ExactAccumulator and calling round_to_precision(prec). Returns false
-/// (out untouched) when the sum does not fit the local window. The
-/// rounding tail (magnitude extraction + top-64 RNE) lives in
-/// core/fused_round.hpp, shared with the register-blocked microkernel.
-bool fused_round(const StreamTerm* terms, int count, const fp::Unpacked& c,
-                 int prec, fp::Unpacked* out) {
-  // A NaN/Inf register short-circuits just like the accumulator's
-  // sticky flags (the step sum itself is finite). `c` may alias `*out`
-  // (the per-step register), so read it before the clearing store.
-  if (c.cls == fp::FpClass::kNaN) {
-    *out = {};
-    out->cls = fp::FpClass::kNaN;
-    return true;
-  }
-  if (c.cls == fp::FpClass::kInf) {
-    const bool sign = c.sign;
-    *out = {};
-    out->cls = fp::FpClass::kInf;
-    out->sign = sign;
-    return true;
-  }
-  // Exponent window of all addends: [lo, hi] in lsb-weight terms.
-  // Product significands are below 2^48 (two sub-24-bit factors); the
-  // +47 msb bound is cheaper than measuring each product's width and
-  // only costs window slack.
-  int lo = 0, hi = 0;
-  bool any = false;
-  for (int i = 0; i < count; ++i) {
-    if (!any) {
-      lo = terms[i].exp;
-      hi = terms[i].exp;
-      any = true;
-    } else {
-      lo = std::min(lo, terms[i].exp);
-      hi = std::max(hi, terms[i].exp);
-    }
-  }
-  hi += 47;
-  std::uint64_t rsig = 0;
-  int rexp = 0;
-  if (c.cls == fp::FpClass::kNormal) {
-    // The register holds a prec-bit value (rounded to prec every step;
-    // the initial C has <= 24 <= prec significant bits).
-    const int drop = fp::Unpacked::kSigTop - (prec - 1);
-    if ((c.sig & low_mask(drop)) != 0) return false;
-    rsig = c.sig >> drop;
-    rexp = c.exp - (prec - 1);
-    if (!any) {
-      lo = rexp;
-      hi = c.exp;
-      any = true;
-    } else {
-      lo = std::min(lo, rexp);
-      hi = std::max(hi, c.exp);
-    }
-  }
-  if (!any) {
-    *out = {};  // empty sum: exact zero (FpClass::kZero, + sign)
-    return true;
-  }
-  // <= 65 addends each below 2^(hi-lo+1): the sum needs at most
-  // hi-lo+8 bits plus a sign bit.
-  if (hi - lo <= 118) {
-    // The common benign-data case fits one 128-bit register.
-    unsigned __int128 sum = 0;
-    for (int i = 0; i < count; ++i) {
-      const unsigned __int128 v = static_cast<unsigned __int128>(terms[i].sig)
-                                  << (terms[i].exp - lo);
-      sum = terms[i].sign ? sum - v : sum + v;
-    }
-    if (rsig != 0) {
-      const unsigned __int128 v = static_cast<unsigned __int128>(rsig)
-                                  << (rexp - lo);
-      sum = c.sign ? sum - v : sum + v;
-    }
-    detail::round_sum128(sum, lo, prec, out);
-    return true;
-  }
-  if (hi - lo > 240) return false;
-  std::uint64_t w[4] = {0, 0, 0, 0};
-  const auto add = [&w](bool sign, std::uint64_t sig, int shift) {
-    std::uint64_t limb[4] = {0, 0, 0, 0};
-    const int word = shift / 64;
-    const int sh = shift % 64;
-    limb[word] = sig << sh;
-    if (sh != 0 && word + 1 < 4) limb[word + 1] = sig >> (64 - sh);
-    if (!sign) {
-      unsigned __int128 carry = 0;
-      for (int i = 0; i < 4; ++i) {
-        const unsigned __int128 t =
-            static_cast<unsigned __int128>(w[i]) + limb[i] + carry;
-        w[i] = static_cast<std::uint64_t>(t);
-        carry = t >> 64;
-      }
-    } else {
-      std::uint64_t borrow = 0;
-      for (int i = 0; i < 4; ++i) {
-        const unsigned __int128 t =
-            static_cast<unsigned __int128>(w[i]) - limb[i] - borrow;
-        w[i] = static_cast<std::uint64_t>(t);
-        borrow = static_cast<std::uint64_t>(t >> 64) & 1;
-      }
-    }
-  };
-  for (int i = 0; i < count; ++i) {
-    add(terms[i].sign, terms[i].sig, terms[i].exp - lo);
-  }
-  if (rsig != 0) add(c.sign, rsig, rexp - lo);
-  // Magnitude of the two's-complement sum (as extract_top64 does).
-  const bool negative = (w[3] >> 63) != 0;
-  if (negative) {
-    std::uint64_t carry = 1;
-    for (auto& word : w) {
-      const std::uint64_t inv = ~word;
-      word = inv + carry;
-      carry = word < inv ? 1 : 0;
-    }
-  }
-  int top_word = 3;
-  while (top_word >= 0 && w[top_word] == 0) --top_word;
-  if (top_word < 0) {
-    *out = {};  // exact cancellation to zero
-    return true;
-  }
-  const int h = top_word * 64 + highest_bit(w[top_word]);
-  // Top-64 window [h .. h-63] plus a sticky for everything below,
-  // mirroring ExactAccumulator::extract_top64.
-  std::uint64_t top64 = 0;
-  bool st = false;
-  const int lo_index = h - 63;
-  if (lo_index >= 0) {
-    const int wd = lo_index / 64;
-    const int sh = lo_index % 64;
-    top64 = w[wd] >> sh;
-    if (sh != 0 && wd + 1 < 4) top64 |= w[wd + 1] << (64 - sh);
-    if (sh != 0) st = (w[wd] & low_mask(sh)) != 0;
-    for (int i = 0; i < wd; ++i) st = st || w[i] != 0;
-  } else {
-    top64 = w[0] << -lo_index;
-  }
-  detail::finish_round(top64, st, negative, lo + h, prec, out);
-  return true;
-}
-
-/// Runs one chunk's steps through the fused kernel, replicating
-/// run_steps' per-step (round after every step) or idealized (one
-/// rounding per instruction) register semantics. Returns false when any
-/// step needs the generic path; no state is modified in that case, so
-/// the caller can re-run the whole chunk through run_steps.
-template <std::size_t kSteps>
-bool run_steps_fused(const std::array<StepView, kSteps>& steps,
-                     const fp::Unpacked& c, bool per_step_rounding, int prec,
-                     fp::Unpacked* out) {
-  StreamTerm terms[kMaxStreamTerms];
-  if (per_step_rounding) {
-    fp::Unpacked reg = c;
-    for (const StepView& step : steps) {
-      const int count = collect_products(step.a, step.b, terms, 0);
-      if (count < 0 || !fused_round(terms, count, reg, prec, &reg)) {
-        return false;
-      }
-    }
-    *out = reg;
-    return true;
-  }
-  int count = 0;
-  for (const StepView& step : steps) {
-    count = collect_products(step.a, step.b, terms, count);
-    if (count < 0) return false;
-  }
-  return fused_round(terms, count, c, prec, out);
+/// Outputs of an m x n range that fall in partial register blocks.
+std::uint64_t edge_outputs(int m, int n, const MicrokernelParams& p) {
+  return area(m, n) - area(m - m % p.mr, n - n % p.nr);
 }
 
 }  // namespace
@@ -630,117 +410,75 @@ void M3xuEngine::gemm_fp32_prepacked(const PackedPanelFp32A& a, int row0,
   M3XU_CHECK(col0 >= 0 && n >= 0 && col0 + n <= b.cols);
   const int k = a.k;
   const int kc_max = shape_for(MxuMode::kFp32).k;
-  const bool streaming = !config_.force_generic &&
-      config_.injector == nullptr && !a.has_special && !b.has_special;
+  if (!config_.force_generic && config_.injector == nullptr &&
+      !a.has_special && !b.has_special) {
+    M3XU_CHECK(kc_max == kPackChunkFp32);
+    const MicrokernelParams mp = mk_params(config_);
+    for (int i = 0; i < m; i += mp.mr) {
+      for (int j = 0; j < n; j += mp.nr) {
+        microkernel_fp32_block(a, row0 + i, b, col0 + j,
+                               std::min(mp.mr, m - i), std::min(mp.nr, n - j),
+                               dp12_, mp, c + idx(i, ldc, j), ldc);
+      }
+    }
+    rt_fp32_edge.add(edge_outputs(m, n, mp));
+    return;
+  }
   thread_local std::array<StepOperands, 2> scratch;
-  std::uint64_t n_fused = 0, n_fallback = 0, n_generic = 0;
-  // Per-element loop over output sub-range [i0,i1) x [j0,j1); the
-  // microkernel covers full MR x NR interior blocks (shape from
-  // mk_block_resolve) and edge tiles fall through to this path.
-  const auto run_range = [&](int i0, int i1, int j0, int j1) {
-  for (int i = i0; i < i1; ++i) {
+  std::uint64_t n_generic = 0;
+  for (int i = 0; i < m; ++i) {
     const LaneOperand* arow =
         a.lanes.data() + static_cast<std::size_t>(row0 + i) * 2 * k;
     const std::size_t abase = static_cast<std::size_t>(row0 + i) * k;
-    for (int j = j0; j < j1; ++j) {
+    for (int j = 0; j < n; ++j) {
       const LaneOperand* blike =
           b.like.data() + static_cast<std::size_t>(col0 + j) * 2 * k;
-      const LaneOperand* bswap =
-          b.swapped.data() + static_cast<std::size_t>(col0 + j) * 2 * k;
       const std::size_t bbase = static_cast<std::size_t>(col0 + j) * k;
       float acc = c[idx(i, ldc, j)];
       for (int k0 = 0; k0 < k; k0 += kc_max) {
         const int kc = std::min(kc_max, k - k0);
-        std::array<StepView, 2> steps;
-        if (streaming) {
-          const std::span<const LaneOperand> av{arow + 2 * k0,
-                                                static_cast<std::size_t>(2 * kc)};
-          steps[0] = {av, {blike + 2 * k0, static_cast<std::size_t>(2 * kc)}};
-          steps[1] = {av, {bswap + 2 * k0, static_cast<std::size_t>(2 * kc)}};
-          fp::Unpacked r;
-          if (run_steps_fused<2>(steps, fp::unpack(acc),
-                                 config_.per_step_rounding,
-                                 config_.accum_prec, &r)) {
-            ++n_fused;
-            acc = fp::pack_to_float(r);
+        ++n_generic;
+        for (StepOperands& s : scratch) {
+          s.a.clear();
+          s.b.clear();
+        }
+        for (int kk = 0; kk < kc; ++kk) {
+          const std::size_t e = static_cast<std::size_t>(k0) + kk;
+          if (a.special[abase + e] || b.special[bbase + e]) {
+            scratch[0].a.push_back(a.cls[abase + e]);
+            scratch[0].b.push_back(b.cls[bbase + e]);
             continue;
           }
-          ++n_fallback;
-        } else {
-          ++n_generic;
-          for (StepOperands& s : scratch) {
-            s.a.clear();
-            s.b.clear();
-          }
-          for (int kk = 0; kk < kc; ++kk) {
-            const std::size_t e = static_cast<std::size_t>(k0) + kk;
-            if (a.special[abase + e] || b.special[bbase + e]) {
-              scratch[0].a.push_back(a.cls[abase + e]);
-              scratch[0].b.push_back(b.cls[bbase + e]);
-              continue;
-            }
-            const LaneOperand& ah = arow[2 * e];
-            const LaneOperand& al = arow[2 * e + 1];
-            const LaneOperand& bh = blike[2 * e];
-            const LaneOperand& bl = blike[2 * e + 1];
-            scratch[0].a.push_back(ah);
-            scratch[0].b.push_back(bh);
-            scratch[0].a.push_back(al);
-            scratch[0].b.push_back(bl);
-            scratch[1].a.push_back(ah);
-            scratch[1].b.push_back(bl);
-            scratch[1].a.push_back(al);
-            scratch[1].b.push_back(bh);
-          }
-          for (StepOperands& s : scratch) {
-            DataAssignmentStage::corrupt_step(
-                config_.injector, s, DataAssignmentStage::kFp32PartBits);
-          }
-          steps[0] = view_of(scratch[0]);
-          steps[1] = view_of(scratch[1]);
+          const LaneOperand& ah = arow[2 * e];
+          const LaneOperand& al = arow[2 * e + 1];
+          const LaneOperand& bh = blike[2 * e];
+          const LaneOperand& bl = blike[2 * e + 1];
+          scratch[0].a.push_back(ah);
+          scratch[0].b.push_back(bh);
+          scratch[0].a.push_back(al);
+          scratch[0].b.push_back(bl);
+          scratch[1].a.push_back(ah);
+          scratch[1].b.push_back(bl);
+          scratch[1].a.push_back(al);
+          scratch[1].b.push_back(bh);
         }
-        acc = fp::pack_to_float(
-            run_steps<2>(steps, fp::unpack(acc), dp12_, config_.accum_prec));
+        for (StepOperands& s : scratch) {
+          DataAssignmentStage::corrupt_step(
+              config_.injector, s, DataAssignmentStage::kFp32PartBits);
+        }
+        acc = fp::pack_to_float(run_steps<2>(views_of(scratch), fp::unpack(acc),
+                                             dp12_, config_.accum_prec));
       }
       c[idx(i, ldc, j)] = acc;
     }
   }
-  };
-  if (streaming && config_.enable_microkernel && k > 0) {
-    M3XU_CHECK(kc_max == kPackChunkFp32);
-    const MkBlockShape blk =
-        mk_block_resolve(config_.mk_mr, config_.mk_nr, config_.mk_variant);
-    const MicrokernelParams mp{config_.per_step_rounding, config_.accum_prec,
-                               config_.mk_variant, blk.mr, blk.nr,
-                               config_.mk_prefetch};
-    const int mb = m - m % blk.mr;
-    const int nb = n - n % blk.nr;
-    for (int i = 0; i < mb; i += blk.mr) {
-      for (int j = 0; j < nb; j += blk.nr) {
-        microkernel_fp32_block(a, row0 + i, b, col0 + j, dp12_, mp,
-                               c + idx(i, ldc, j), ldc);
-      }
-    }
-    run_range(0, mb, nb, n);  // right edge
-    run_range(mb, m, 0, n);   // bottom edge
-    rt_fp32_edge.add(area(mb, n - nb) + area(m - mb, n));
-    rt_fp32_fused.add(n_fused);
-    rt_fp32_fallback.add(n_fallback);
-    trace_route_decisions("core.fp32.route.fallback",
-                          "core.fp32.route.generic", n_fallback, 0);
-    return;
-  }
-  run_range(0, m, 0, n);
   if (config_.injector != nullptr) {
     rt_fp32_inject.add(area(m, n));
   } else if (a.has_special || b.has_special) {
     rt_fp32_special.add(area(m, n));
   }
-  rt_fp32_fused.add(n_fused);
-  rt_fp32_fallback.add(n_fallback);
   rt_fp32_generic.add(n_generic);
-  trace_route_decisions("core.fp32.route.fallback",
-                        "core.fp32.route.generic", n_fallback, n_generic);
+  trace_route_generic("core.fp32.route.generic", n_generic);
 }
 
 void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
@@ -752,9 +490,21 @@ void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
   M3XU_CHECK(col0 >= 0 && n >= 0 && col0 + n <= b.cols);
   const int k = a.k;
   const int kc_max = shape_for(MxuMode::kFp32Complex).k;
-  const bool streaming = !config_.force_generic &&
-      config_.injector == nullptr && !a.has_special && !b.has_special;
-  std::uint64_t n_fused = 0, n_fallback = 0, n_generic = 0;
+  if (!config_.force_generic && config_.injector == nullptr &&
+      !a.has_special && !b.has_special) {
+    M3XU_CHECK(kc_max == kPackChunkFp32c);
+    const MicrokernelParams mp = mk_params(config_);
+    for (int i = 0; i < m; i += mp.mr) {
+      for (int j = 0; j < n; j += mp.nr) {
+        microkernel_fp32c_block(a, row0 + i, b, col0 + j,
+                                std::min(mp.mr, m - i), std::min(mp.nr, n - j),
+                                dp12_, mp, c + idx(i, ldc, j), ldc);
+      }
+    }
+    rt_fp32c_edge.add(edge_outputs(m, n, mp));
+    return;
+  }
+  std::uint64_t n_generic = 0;
   // Scratch step order matches schedule_fp32c: real[0..1], imag[0..1].
   thread_local std::array<StepOperands, 4> scratch;
   // Appends one scalar product term x*y to a step pair, with x's lanes
@@ -777,83 +527,51 @@ void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
     s1.a.push_back(x[1]);
     s1.b.push_back(y[0]);
   };
-  // Per-element loop over [i0,i1) x [j0,j1); edge tiles around the
-  // microkernel's full blocks fall through to this path.
-  const auto run_range = [&](int i0, int i1, int j0, int j1) {
-  for (int i = i0; i < i1; ++i) {
+  for (int i = 0; i < m; ++i) {
     const std::size_t arow = static_cast<std::size_t>(row0 + i) * k;
     const LaneOperand* are = a.real_lanes.data() + 4 * arow;
     const LaneOperand* aim = a.imag_lanes.data() + 4 * arow;
-    for (int j = j0; j < j1; ++j) {
+    for (int j = 0; j < n; ++j) {
       const std::size_t bcol = static_cast<std::size_t>(col0 + j) * k;
       std::complex<float> acc = c[idx(i, ldc, j)];
       for (int k0 = 0; k0 < k; k0 += kc_max) {
         const int kc = std::min(kc_max, k - k0);
-        std::array<StepView, 2> real_steps;
-        std::array<StepView, 2> imag_steps;
-        if (streaming) {
-          const std::size_t off = static_cast<std::size_t>(4) * k0;
-          const std::size_t len = static_cast<std::size_t>(4) * kc;
-          const std::span<const LaneOperand> ar{are + off, len};
-          const std::span<const LaneOperand> ai{aim + off, len};
-          const LaneOperand* brl = b.real_like.data() + 4 * bcol + off;
-          const LaneOperand* brs = b.real_swap.data() + 4 * bcol + off;
-          const LaneOperand* bil = b.imag_like.data() + 4 * bcol + off;
-          const LaneOperand* bis = b.imag_swap.data() + 4 * bcol + off;
-          real_steps[0] = {ar, {brl, len}};
-          real_steps[1] = {ar, {brs, len}};
-          imag_steps[0] = {ai, {bil, len}};
-          imag_steps[1] = {ai, {bis, len}};
-          fp::Unpacked re, im;
-          if (run_steps_fused<2>(real_steps, fp::unpack(acc.real()),
-                                 config_.per_step_rounding,
-                                 config_.accum_prec, &re) &&
-              run_steps_fused<2>(imag_steps, fp::unpack(acc.imag()),
-                                 config_.per_step_rounding,
-                                 config_.accum_prec, &im)) {
-            ++n_fused;
-            acc = {fp::pack_to_float(re), fp::pack_to_float(im)};
-            continue;
-          }
-          ++n_fallback;
-        } else {
-          ++n_generic;
-          for (StepOperands& s : scratch) {
-            s.a.clear();
-            s.b.clear();
-          }
-          for (int kk = 0; kk < kc; ++kk) {
-            const std::size_t ae = arow + k0 + kk;  // global element index
-            const std::size_t al = static_cast<std::size_t>(4) * (k0 + kk);
-            const std::size_t be = bcol + k0 + kk;
-            const bool as_re = a.special[2 * ae] != 0;
-            const bool as_im = a.special[2 * ae + 1] != 0;
-            const bool bs_re = b.special[2 * be] != 0;
-            const bool bs_im = b.special[2 * be + 1] != 0;
-            // B component lanes in canonical [brh, brl, bih, bil] order.
-            const LaneOperand* bre = b.real_like.data() + 4 * be;
-            const LaneOperand* bim = bre + 2;
-            // Term order matches schedule_fp32c: AR*BR, -AI*BI into the
-            // real steps; AR*BI, AI*BR into the imaginary steps.
-            emit_term(scratch[0], scratch[1], are + al, bre,
-                      as_re || bs_re, a.cls[2 * ae], b.cls[2 * be]);
-            emit_term(scratch[0], scratch[1], are + al + 2, bim,
-                      as_im || bs_im, a.cls[2 * ae + 1].negated(),
-                      b.cls[2 * be + 1]);
-            emit_term(scratch[2], scratch[3], aim + al, bim,
-                      as_re || bs_im, a.cls[2 * ae], b.cls[2 * be + 1]);
-            emit_term(scratch[2], scratch[3], aim + al + 2, bre,
-                      as_im || bs_re, a.cls[2 * ae + 1], b.cls[2 * be]);
-          }
-          for (StepOperands& s : scratch) {
-            DataAssignmentStage::corrupt_step(
-                config_.injector, s, DataAssignmentStage::kFp32PartBits);
-          }
-          real_steps[0] = view_of(scratch[0]);
-          real_steps[1] = view_of(scratch[1]);
-          imag_steps[0] = view_of(scratch[2]);
-          imag_steps[1] = view_of(scratch[3]);
+        ++n_generic;
+        for (StepOperands& s : scratch) {
+          s.a.clear();
+          s.b.clear();
         }
+        for (int kk = 0; kk < kc; ++kk) {
+          const std::size_t ae = arow + k0 + kk;  // global element index
+          const std::size_t al = static_cast<std::size_t>(4) * (k0 + kk);
+          const std::size_t be = bcol + k0 + kk;
+          const bool as_re = a.special[2 * ae] != 0;
+          const bool as_im = a.special[2 * ae + 1] != 0;
+          const bool bs_re = b.special[2 * be] != 0;
+          const bool bs_im = b.special[2 * be + 1] != 0;
+          // B component lanes in canonical [brh, brl, bih, bil] order.
+          const LaneOperand* bre = b.real_like.data() + 4 * be;
+          const LaneOperand* bim = bre + 2;
+          // Term order matches schedule_fp32c: AR*BR, -AI*BI into the
+          // real steps; AR*BI, AI*BR into the imaginary steps.
+          emit_term(scratch[0], scratch[1], are + al, bre, as_re || bs_re,
+                    a.cls[2 * ae], b.cls[2 * be]);
+          emit_term(scratch[0], scratch[1], are + al + 2, bim,
+                    as_im || bs_im, a.cls[2 * ae + 1].negated(),
+                    b.cls[2 * be + 1]);
+          emit_term(scratch[2], scratch[3], aim + al, bim, as_re || bs_im,
+                    a.cls[2 * ae], b.cls[2 * be + 1]);
+          emit_term(scratch[2], scratch[3], aim + al + 2, bre,
+                    as_im || bs_re, a.cls[2 * ae + 1], b.cls[2 * be]);
+        }
+        for (StepOperands& s : scratch) {
+          DataAssignmentStage::corrupt_step(
+              config_.injector, s, DataAssignmentStage::kFp32PartBits);
+        }
+        const std::array<StepView, 2> real_steps = {view_of(scratch[0]),
+                                                    view_of(scratch[1])};
+        const std::array<StepView, 2> imag_steps = {view_of(scratch[2]),
+                                                    view_of(scratch[3])};
         const fp::Unpacked re = run_steps<2>(real_steps, fp::unpack(acc.real()),
                                              dp12_, config_.accum_prec);
         const fp::Unpacked im = run_steps<2>(imag_steps, fp::unpack(acc.imag()),
@@ -863,42 +581,13 @@ void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
       c[idx(i, ldc, j)] = acc;
     }
   }
-  };
-  if (streaming && config_.enable_microkernel && k > 0) {
-    M3XU_CHECK(kc_max == kPackChunkFp32c);
-    const MkBlockShape blk =
-        mk_block_resolve(config_.mk_mr, config_.mk_nr, config_.mk_variant);
-    const MicrokernelParams mp{config_.per_step_rounding, config_.accum_prec,
-                               config_.mk_variant, blk.mr, blk.nr,
-                               config_.mk_prefetch};
-    const int mb = m - m % blk.mr;
-    const int nb = n - n % blk.nr;
-    for (int i = 0; i < mb; i += blk.mr) {
-      for (int j = 0; j < nb; j += blk.nr) {
-        microkernel_fp32c_block(a, row0 + i, b, col0 + j, dp12_, mp,
-                                c + idx(i, ldc, j), ldc);
-      }
-    }
-    run_range(0, mb, nb, n);  // right edge
-    run_range(mb, m, 0, n);   // bottom edge
-    rt_fp32c_edge.add(area(mb, n - nb) + area(m - mb, n));
-    rt_fp32c_fused.add(n_fused);
-    rt_fp32c_fallback.add(n_fallback);
-    trace_route_decisions("core.fp32c.route.fallback",
-                          "core.fp32c.route.generic", n_fallback, 0);
-    return;
-  }
-  run_range(0, m, 0, n);
   if (config_.injector != nullptr) {
     rt_fp32c_inject.add(area(m, n));
   } else if (a.has_special || b.has_special) {
     rt_fp32c_special.add(area(m, n));
   }
-  rt_fp32c_fused.add(n_fused);
-  rt_fp32c_fallback.add(n_fallback);
   rt_fp32c_generic.add(n_generic);
-  trace_route_decisions("core.fp32c.route.fallback",
-                        "core.fp32c.route.generic", n_fallback, n_generic);
+  trace_route_generic("core.fp32c.route.generic", n_generic);
 }
 
 void M3xuEngine::gemm_fp32_packed(int m, int n, int k, const float* a,

@@ -35,8 +35,9 @@ namespace m3xu::core {
 
 /// Non-owning view of one step's operand-buffer lane streams. The
 /// per-dot path views the vectors a schedule_* call just built; the
-/// packed path views slices of a pre-split panel - both feed the same
-/// step/rounding pipeline, so they are bit-identical by construction.
+/// packed generic path views the steps it reassembled from a pre-split
+/// panel - both feed the same step/rounding pipeline, so they are
+/// bit-identical by construction.
 struct StepView {
   std::span<const LaneOperand> a;
   std::span<const LaneOperand> b;
@@ -78,18 +79,12 @@ struct M3xuConfig {
   int accum_prec = fp::ExtFloat::kM3xuAccumPrec;
   /// Accumulation-register width for the FP64 mode ("FP64 registers").
   int fp64_accum_prec = 53;
-  /// Route special-free packed GEMMs through the register-blocked
-  /// microkernel (core/microkernel.hpp). Bit-identical either way;
-  /// disabling isolates the per-element packed path (benchmarks) or
-  /// works around a platform issue. Injector-attached engines ignore
-  /// this and stay on the per-dot path regardless.
-  bool enable_microkernel = true;
   /// Force the packed entry points down the generic per-dot
-  /// reassembly path: no fused streaming kernel, no microkernel, even
-  /// for special-free panels. Bit-identical by construction (same step
-  /// schedule and rounding points); the tiled driver's recovery ladder
-  /// uses it as the demotion rung below the packed fused route. See
-  /// docs/RESILIENCE.md.
+  /// reassembly path instead of the register-blocked microkernel
+  /// (core/microkernel.hpp), even for special-free panels.
+  /// Bit-identical by construction (same step schedule and rounding
+  /// points); the tiled driver's recovery ladder uses it as the
+  /// demotion rung below the microkernel. See docs/RESILIENCE.md.
   bool force_generic = false;
   /// Microkernel lane-body variant (core/microkernel.hpp). kAuto
   /// resolves to the widest SIMD lane the CPU supports; every variant
@@ -168,8 +163,10 @@ class M3xuEngine {
   // --- Packed-operand fast path (core/packed_panel.hpp) ---------------
   // Bit-identical to gemm_fp32 / gemm_fp32c - same step schedule, same
   // rounding points, same fault-opportunity order - but the hi/lo split
-  // runs once per operand panel instead of once per output dot, and the
-  // inner loop streams lanes with no per-call allocation or gather.
+  // runs once per operand panel instead of once per output dot.
+  // Special-free, injector-free GEMMs stream every output through the
+  // register-blocked microkernel; the rest reassemble each dot from the
+  // packed lanes.
 
   void gemm_fp32_packed(int m, int n, int k, const float* a, int lda,
                         const float* b, int ldb, float* c, int ldc) const;

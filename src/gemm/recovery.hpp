@@ -3,11 +3,13 @@
 //
 // Every route computes bit-identical results by construction (same
 // step schedule, same rounding points - verified by the tiled tests),
-// so demoting a tile trades only throughput, never numerics:
+// so demoting a tile trades only throughput, never numerics. Three
+// rungs:
 //
-//   kMicrokernel      register-blocked packed microkernel (fastest)
-//   kPackedFused      per-element fused streaming over packed panels
-//   kGenericPerDot    generic per-dot reassembly from packed lanes
+//   kMicrokernel      register-blocked packed microkernel, partial edge
+//                     blocks included (fastest)
+//   kGenericPerDot    generic per-dot reassembly from packed lanes (a
+//                     force_generic engine clone)
 //   kScalarReference  plain per-dot gemm over the staged buffers
 //                     (no packing at all - also the allocation-failure
 //                     fallback)
@@ -45,12 +47,11 @@ class PanelCache;  // see gemm/panel_cache.hpp
 /// are *lower* rungs.
 enum class Route : int {
   kMicrokernel = 0,
-  kPackedFused = 1,
-  kGenericPerDot = 2,
-  kScalarReference = 3,
+  kGenericPerDot = 1,
+  kScalarReference = 2,
 };
 
-inline constexpr int kRouteCount = 4;
+inline constexpr int kRouteCount = 3;
 
 const char* route_name(Route route);
 

@@ -1,7 +1,8 @@
 // Property tests for the register-blocked microkernel: the packed GEMM
-// with the microkernel enabled must be bit-identical to the per-dot
-// route (and to the per-element packed path) across geometry sweeps
-// straddling the MR/NR block and K-chunk boundaries, subnormal inputs,
+// streaming through the microkernel must be bit-identical to the
+// per-dot route (and to the packed generic path) across geometry sweeps
+// straddling the MR/NR block and K-chunk boundaries, partial edge
+// blocks of every rows x cols, subnormal inputs,
 // Inf/NaN operands (which bypass the microkernel at the routing seam),
 // wide exponent spans that force the per-pair generic fallback, nonzero
 // and signed-zero C, non-default rounding configs, prepacked sub-block
@@ -29,8 +30,11 @@
 namespace m3xu::core {
 namespace {
 
-M3xuEngine packed_only_engine(M3xuConfig cfg = {}) {
-  cfg.enable_microkernel = false;
+/// The packed entry points forced down the generic per-dot
+/// reassembly path: the reference the microkernel is checked against
+/// on the same panels.
+M3xuEngine generic_engine(M3xuConfig cfg = {}) {
+  cfg.force_generic = true;
   return M3xuEngine(cfg);
 }
 
@@ -71,28 +75,28 @@ void expect_bitwise_equal(const std::vector<std::complex<float>>& x,
   }
 }
 
-/// Runs one FP32 shape through per-dot, packed-without-microkernel, and
-/// packed-with-microkernel; asserts all three agree bitwise.
-void check_fp32(const M3xuEngine& micro, const M3xuEngine& packed, int m,
+/// Runs one FP32 shape through per-dot, the packed generic path and the
+/// packed microkernel route; asserts all three agree bitwise.
+void check_fp32(const M3xuEngine& micro, const M3xuEngine& generic, int m,
                 int n, int k, const std::vector<float>& a,
                 const std::vector<float>& b, const std::vector<float>& c) {
   auto c0 = c, c1 = c, c2 = c;
   micro.gemm_fp32(m, n, k, a.data(), k, b.data(), n, c0.data(), n);
-  packed.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n, c1.data(), n);
+  generic.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n, c1.data(), n);
   micro.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n, c2.data(), n);
-  expect_bitwise_equal(c0, c1, "packed-vs-perdot");
+  expect_bitwise_equal(c0, c1, "generic-vs-perdot");
   expect_bitwise_equal(c0, c2, "microkernel-vs-perdot");
 }
 
-void check_fp32c(const M3xuEngine& micro, const M3xuEngine& packed, int m,
+void check_fp32c(const M3xuEngine& micro, const M3xuEngine& generic, int m,
                  int n, int k, const std::vector<std::complex<float>>& a,
                  const std::vector<std::complex<float>>& b,
                  const std::vector<std::complex<float>>& c) {
   auto c0 = c, c1 = c, c2 = c;
   micro.gemm_fp32c(m, n, k, a.data(), k, b.data(), n, c0.data(), n);
-  packed.gemm_fp32c_packed(m, n, k, a.data(), k, b.data(), n, c1.data(), n);
+  generic.gemm_fp32c_packed(m, n, k, a.data(), k, b.data(), n, c1.data(), n);
   micro.gemm_fp32c_packed(m, n, k, a.data(), k, b.data(), n, c2.data(), n);
-  expect_bitwise_equal(c0, c1, "packed-vs-perdot");
+  expect_bitwise_equal(c0, c1, "generic-vs-perdot");
   expect_bitwise_equal(c0, c2, "microkernel-vs-perdot");
 }
 
@@ -103,7 +107,7 @@ TEST(MicrokernelFp32, GeometrySweepAroundBlockAndChunkBoundaries) {
   // full blocks); k straddles the FP32 chunk width 8 (partial chunk,
   // exact multiples, and the first lane of the next chunk).
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine generic = generic_engine();
   int idx = 0;
   for (const int m : {1, 3, 4, 5, 8, 9}) {
     for (const int n : {1, 3, 4, 5, 9}) {
@@ -112,7 +116,7 @@ TEST(MicrokernelFp32, GeometrySweepAroundBlockAndChunkBoundaries) {
         const auto a = random_buffer(m, k, rng, false);
         const auto b = random_buffer(k, n, rng, false);
         const auto c = random_buffer(m, n, rng, true);
-        check_fp32(micro, packed, m, n, k, a, b, c);
+        check_fp32(micro, generic, m, n, k, a, b, c);
       }
     }
   }
@@ -122,7 +126,7 @@ TEST(MicrokernelFp32c, GeometrySweepAroundBlockAndChunkBoundaries) {
   // FP32C chunk width is 4; keep the sweep smaller since each complex
   // element costs four scalar dot streams.
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine generic = generic_engine();
   int idx = 0;
   for (const int m : {1, 3, 4, 5, 9}) {
     for (const int n : {1, 4, 5, 9}) {
@@ -131,7 +135,7 @@ TEST(MicrokernelFp32c, GeometrySweepAroundBlockAndChunkBoundaries) {
         const auto a = random_cbuffer(m, k, rng, false);
         const auto b = random_cbuffer(k, n, rng, false);
         const auto c = random_cbuffer(m, n, rng, true);
-        check_fp32c(micro, packed, m, n, k, a, b, c);
+        check_fp32c(micro, generic, m, n, k, a, b, c);
       }
     }
   }
@@ -145,7 +149,7 @@ TEST(MicrokernelFp32, SubnormalsFlushIdentically) {
   // the scalar paths (including zero-times-anything and empty sums
   // producing +0).
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine generic = generic_engine();
   const float sub_min = std::numeric_limits<float>::denorm_min();
   const float sub_max = 1.17549421e-38f;  // largest subnormal
   for (int trial = 0; trial < 4; ++trial) {
@@ -162,7 +166,7 @@ TEST(MicrokernelFp32, SubnormalsFlushIdentically) {
     auto c = random_buffer(m, n, rng, true);
     c[0] = -0.0f;
     c[1] = 0.0f;
-    check_fp32(micro, packed, m, n, k, a, b, c);
+    check_fp32(micro, generic, m, n, k, a, b, c);
   }
 }
 
@@ -171,7 +175,7 @@ TEST(MicrokernelFp32, InfNanOperandsBypassAtRoutingSeam) {
   // whole GEMM around the microkernel; the result still has to match
   // per-dot bit-for-bit (Inf/NaN propagation included).
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine generic = generic_engine();
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   for (int trial = 0; trial < 4; ++trial) {
@@ -185,7 +189,7 @@ TEST(MicrokernelFp32, InfNanOperandsBypassAtRoutingSeam) {
       if (trial % 2 == 0) b[rng.next_below(b.size())] = specials[rng.next_below(3)];
     }
     const auto c = random_buffer(m, n, rng, true);
-    check_fp32(micro, packed, m, n, k, a, b, c);
+    check_fp32(micro, generic, m, n, k, a, b, c);
   }
 }
 
@@ -196,7 +200,7 @@ TEST(MicrokernelFp32, WideExponentSpansFallBackBitIdentically) {
   // seed C with huge/tiny values so the register fold exercises the
   // dropped-bits fallback.
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine generic = generic_engine();
   for (int trial = 0; trial < 6; ++trial) {
     Rng rng(7200 + trial);
     const int m = 7, n = 8, k = 24;
@@ -213,13 +217,13 @@ TEST(MicrokernelFp32, WideExponentSpansFallBackBitIdentically) {
     auto c = random_buffer(m, n, rng, false);
     c[0] = 3.4e38f;
     c[1] = -1e-38f;
-    check_fp32(micro, packed, m, n, k, a, b, c);
+    check_fp32(micro, generic, m, n, k, a, b, c);
   }
 }
 
 TEST(MicrokernelFp32c, WideExponentSpansFallBackBitIdentically) {
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine generic = generic_engine();
   for (int trial = 0; trial < 4; ++trial) {
     Rng rng(8200 + trial);
     const int m = 5, n = 5, k = 9;
@@ -233,7 +237,7 @@ TEST(MicrokernelFp32c, WideExponentSpansFallBackBitIdentically) {
       b[i] = {b[i].real(), extremes[rng.next_below(4)]};
     }
     const auto c = random_cbuffer(m, n, rng, false);
-    check_fp32c(micro, packed, m, n, k, a, b, c);
+    check_fp32c(micro, generic, m, n, k, a, b, c);
   }
 }
 
@@ -249,18 +253,18 @@ TEST(MicrokernelFp32, NonDefaultRoundingConfigsStayBitIdentical) {
       cfg.per_step_rounding = per_step;
       cfg.accum_prec = prec;
       const M3xuEngine micro(cfg);
-      const M3xuEngine packed = packed_only_engine(cfg);
+      const M3xuEngine generic = generic_engine(cfg);
       Rng rng(9300 + prec + (per_step ? 1000 : 0));
       const int m = 6, n = 9, k = 26;
       const auto a = random_buffer(m, k, rng, false);
       const auto b = random_buffer(k, n, rng, false);
       const auto c = random_buffer(m, n, rng, true);
-      check_fp32(micro, packed, m, n, k, a, b, c);
+      check_fp32(micro, generic, m, n, k, a, b, c);
       const int ck = 12;
       const auto ca = random_cbuffer(m, ck, rng, false);
       const auto cb = random_cbuffer(ck, n, rng, false);
       const auto cc = random_cbuffer(m, n, rng, true);
-      check_fp32c(micro, packed, m, n, ck, ca, cb, cc);
+      check_fp32c(micro, generic, m, n, ck, ca, cb, cc);
     }
   }
 }
@@ -387,7 +391,7 @@ TEST(MicrokernelDispatch, EveryVariantAndShapeMatchesPerDot) {
       cfg.mk_nr = shape.nr;
       cfg.mk_prefetch = (combo % 2 == 0);  // both prefetch settings
       const M3xuEngine micro(cfg);
-      const M3xuEngine packed = packed_only_engine(cfg);
+      const M3xuEngine generic = generic_engine(cfg);
 
       // Geometry straddling this shape's block boundaries and the
       // K-chunk width.
@@ -399,7 +403,7 @@ TEST(MicrokernelDispatch, EveryVariantAndShapeMatchesPerDot) {
           const auto a = random_buffer(m, k, rng, false);
           const auto b = random_buffer(k, n, rng, false);
           const auto c = random_buffer(m, n, rng, true);
-          check_fp32(micro, packed, m, n, k, a, b, c);
+          check_fp32(micro, generic, m, n, k, a, b, c);
         }
       }
       {
@@ -415,7 +419,7 @@ TEST(MicrokernelDispatch, EveryVariantAndShapeMatchesPerDot) {
         a[2] = 3e38f;
         b[2] = -1.2e-38f;
         const auto c = random_buffer(m, n, rng, true);
-        check_fp32(micro, packed, m, n, k, a, b, c);
+        check_fp32(micro, generic, m, n, k, a, b, c);
       }
       {
         // Complex route with the same forced dispatch.
@@ -424,7 +428,7 @@ TEST(MicrokernelDispatch, EveryVariantAndShapeMatchesPerDot) {
         const auto a = random_cbuffer(m, k, rng, false);
         const auto b = random_cbuffer(k, n, rng, false);
         const auto c = random_cbuffer(m, n, rng, true);
-        check_fp32c(micro, packed, m, n, k, a, b, c);
+        check_fp32c(micro, generic, m, n, k, a, b, c);
       }
       {
         // Prepacked sub-block offsets must index the per-chunk prescan
@@ -526,7 +530,7 @@ float lane_a(int i, int t, Rng& rng) {
 /// of each shape, and k = 8 or 16 (a second, ordinary chunk).
 void check_divergent_lanes(const M3xuConfig& cfg, int k, Rng& rng) {
   const M3xuEngine micro(cfg);
-  const M3xuEngine packed = packed_only_engine(cfg);
+  const M3xuEngine generic = generic_engine(cfg);
   const int m = 2 * cfg.mk_mr;
   const int n = std::max(8, 2 * cfg.mk_nr);
   std::vector<float> a = random_buffer(m, k, rng, true);
@@ -543,7 +547,7 @@ void check_divergent_lanes(const M3xuConfig& cfg, int k, Rng& rng) {
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) c[i * n + j] = lane_register(i, j, rng);
   }
-  check_fp32(micro, packed, m, n, k, a, b, c);
+  check_fp32(micro, generic, m, n, k, a, b, c);
 
   // The complex route: A chunk-0 elements 0-1 are (1, 0), so a B column
   // (x, y), (-x, -y) cancels; a pattern's values fill the B components
@@ -570,7 +574,7 @@ void check_divergent_lanes(const M3xuConfig& cfg, int k, Rng& rng) {
       cc[i * n + j] = {lane_register(i, j, rng), lane_register(i, j + 3, rng)};
     }
   }
-  check_fp32c(micro, packed, m, n, ck, ca, cb, cc);
+  check_fp32c(micro, generic, m, n, ck, ca, cb, cc);
 }
 
 TEST(MicrokernelLanes, DivergentLanesInOneRowMatchPerDot) {
@@ -602,6 +606,109 @@ TEST(MicrokernelLanes, DivergentLanesInOneRowMatchPerDot) {
     }
   }
   EXPECT_GE(combo, 36);  // at least the scalar variant ran every case
+}
+
+// --- Partial blocks ------------------------------------------------------
+//
+// Edge blocks run the microkernel with rows < MR or cols < NR: the
+// missing columns are masked lanes that must not read or write C, and
+// the valid lanes must still stream, fall back or bypass exactly as in
+// a full block.
+
+/// A value in [1, 2) with a random sign: chunk windows built from these
+/// span 47 bits, so one 2^72 operand takes a lane to a 119-bit span.
+float signed_unit(Rng& rng) {
+  const float v =
+      1.0f + std::ldexp(static_cast<float>(rng.next_below(1024)), -10);
+  return rng.next_below(2) ? v : -v;
+}
+
+TEST(MicrokernelLanes, PartialBlocksMatchPerDot) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float big = std::ldexp(1.0f, 72);
+  int combo = 0;
+  for (const MkVariant v :
+       {MkVariant::kScalar, MkVariant::kAvx2, MkVariant::kAvx512}) {
+    if (!mk_variant_available(v)) continue;
+    for (const MkBlockShape shape :
+         {MkBlockShape{4, 4}, MkBlockShape{6, 8}, MkBlockShape{8, 8}}) {
+      for (const bool per_step : {true, false}) {
+        M3xuConfig cfg;
+        cfg.mk_variant = v;
+        cfg.mk_mr = shape.mr;
+        cfg.mk_nr = shape.nr;
+        cfg.per_step_rounding = per_step;
+        const M3xuEngine micro(cfg);
+        const M3xuEngine generic = generic_engine(cfg);
+        Rng rng(38000 + combo++);
+        // Panels one block plus a margin on every side; blocks sit at
+        // (row0, col0). B's first block column holds 1 and 2^72 in its
+        // first K-chunk (span 119: that lane falls back in every row),
+        // and so does every second column after it: a block row mixes
+        // streaming and fallback lanes, and half of the partial blocks
+        // have such a column just past their last one, under a masked
+        // lane.
+        const int row0 = 2, col0 = 3;
+        const int prows = shape.mr + 4, pcols = shape.nr + 5;
+        const int k = 13, ck = 7;
+        std::vector<float> a(static_cast<std::size_t>(prows) * k);
+        std::vector<float> b(static_cast<std::size_t>(k) * pcols);
+        for (auto& x : a) x = signed_unit(rng);
+        for (auto& x : b) x = signed_unit(rng);
+        std::vector<std::complex<float>> ca(static_cast<std::size_t>(prows) *
+                                            ck);
+        std::vector<std::complex<float>> cb(static_cast<std::size_t>(ck) *
+                                            pcols);
+        for (auto& x : ca) x = {signed_unit(rng), signed_unit(rng)};
+        for (auto& x : cb) x = {signed_unit(rng), signed_unit(rng)};
+        for (int j = col0; j < pcols; j += 2) {
+          b[j] = 1.0f;
+          b[pcols + j] = big;
+          cb[j] = {1.0f, big};
+        }
+        PackedPanelFp32A pa;
+        PackedPanelFp32B pb;
+        PackedPanelFp32cA pca;
+        PackedPanelFp32cB pcb;
+        pack_fp32_a(a.data(), k, prows, k, pa);
+        pack_fp32_b(b.data(), pcols, k, pcols, pb);
+        pack_fp32c_a(ca.data(), ck, prows, ck, pca);
+        pack_fp32c_b(cb.data(), pcols, ck, pcols, pcb);
+        // C rows are wider than the block, so a write to a masked lane
+        // would change a sentinel the generic path leaves alone.
+        const int ldc = shape.nr + 3;
+        for (int rows = 1; rows <= shape.mr; ++rows) {
+          for (int cols = 1; cols <= shape.nr; ++cols) {
+            SCOPED_TRACE(std::string(mk_variant_name(v)) + " " +
+                         std::to_string(shape.mr) + "x" +
+                         std::to_string(shape.nr) +
+                         (per_step ? " per-step" : " idealized") + " block " +
+                         std::to_string(rows) + "x" + std::to_string(cols));
+            const std::size_t inf_at =
+                static_cast<std::size_t>(rows - 1) * ldc + cols - 1;
+            auto c0 = random_buffer(rows, ldc, rng, true);
+            c0[inf_at] = inf;
+            auto c1 = c0;
+            generic.gemm_fp32_prepacked(pa, row0, pb, col0, rows, cols,
+                                        c0.data(), ldc);
+            micro.gemm_fp32_prepacked(pa, row0, pb, col0, rows, cols,
+                                      c1.data(), ldc);
+            expect_bitwise_equal(c0, c1, "partial-block");
+
+            auto cc0 = random_cbuffer(rows, ldc, rng, true);
+            cc0[inf_at] = {1.0f, -inf};
+            auto cc1 = cc0;
+            generic.gemm_fp32c_prepacked(pca, row0, pcb, col0, rows, cols,
+                                         cc0.data(), ldc);
+            micro.gemm_fp32c_prepacked(pca, row0, pcb, col0, rows, cols,
+                                       cc1.data(), ldc);
+            expect_bitwise_equal(cc0, cc1, "partial-block-complex");
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(combo, 6);  // at least the scalar variant ran every shape
 }
 
 TEST(MicrokernelDispatch, InjectorDeterminismUnderForcedDispatch) {
@@ -638,9 +745,9 @@ TEST(MicrokernelDispatch, InjectorDeterminismUnderForcedDispatch) {
 // --- Fault-injection determinism recheck ------------------------------
 
 TEST(MicrokernelFault, InjectorAttachedEnginesStayDeterministic) {
-  // An injector-attached engine must ignore enable_microkernel, replay
-  // the per-dot fault-opportunity order exactly, and produce identical
-  // outputs and logs whether or not the flag is set.
+  // An injector-attached engine must stay off the microkernel on the
+  // packed entry point, replay the per-dot fault-opportunity order
+  // exactly, and produce the per-dot outputs and logs.
   for (int trial = 0; trial < 3; ++trial) {
     const fault::SiteRates rates = fault::SiteRates::uniform(2e-3);
     const fault::FaultInjector inj_perdot(1500 + trial, rates);
@@ -648,7 +755,6 @@ TEST(MicrokernelFault, InjectorAttachedEnginesStayDeterministic) {
     M3xuConfig cfg_perdot, cfg_micro;
     cfg_perdot.injector = &inj_perdot;
     cfg_micro.injector = &inj_micro;
-    cfg_micro.enable_microkernel = true;
     const M3xuEngine perdot(cfg_perdot);
     const M3xuEngine micro(cfg_micro);
     Rng rng(11500 + trial);

@@ -40,13 +40,10 @@ bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
 }
 
 /// Engine configs pinning each initial route rung: the default
-/// (microkernel), the packed-fused rung, and the generic per-dot rung.
+/// (microkernel) and the generic per-dot rung.
 std::vector<std::pair<const char*, core::M3xuConfig>> route_configs() {
   std::vector<std::pair<const char*, core::M3xuConfig>> out;
   out.emplace_back("microkernel", core::M3xuConfig{});
-  core::M3xuConfig nomk;
-  nomk.enable_microkernel = false;
-  out.emplace_back("packed_fused", nomk);
   core::M3xuConfig generic;
   generic.force_generic = true;
   out.emplace_back("generic", generic);

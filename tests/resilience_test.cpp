@@ -68,7 +68,7 @@ TEST(TileQuarantine, OnlyLowersAndReportsChanges) {
   EXPECT_TRUE(q.lookup(7, &route));
   EXPECT_EQ(route, Route::kGenericPerDot);
   // Raising back up is a no-op.
-  EXPECT_FALSE(q.demote(7, Route::kPackedFused));
+  EXPECT_FALSE(q.demote(7, Route::kMicrokernel));
   EXPECT_TRUE(q.lookup(7, &route));
   EXPECT_EQ(route, Route::kGenericPerDot);
   // Lowering further sticks.
@@ -84,8 +84,8 @@ TEST(TileQuarantine, OnlyLowersAndReportsChanges) {
 TEST(TileQuarantine, CapacityBoundsEntriesWithLruEviction) {
   TileQuarantine q(2);
   EXPECT_EQ(q.capacity(), 2u);
-  EXPECT_TRUE(q.demote(1, Route::kPackedFused));
-  EXPECT_TRUE(q.demote(2, Route::kPackedFused));
+  EXPECT_TRUE(q.demote(1, Route::kMicrokernel));
+  EXPECT_TRUE(q.demote(2, Route::kMicrokernel));
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.evictions(), 0u);
   // Refresh tile 1 so tile 2 is the LRU victim of the next insert.
@@ -103,8 +103,8 @@ TEST(TileQuarantine, CapacityBoundsEntriesWithLruEviction) {
 TEST(TileQuarantine, EvictionCounterIsExported) {
   const telemetry::Snapshot before = telemetry::snapshot();
   TileQuarantine q(1);
-  q.demote(1, Route::kPackedFused);
-  q.demote(2, Route::kPackedFused);  // evicts tile 1
+  q.demote(1, Route::kMicrokernel);
+  q.demote(2, Route::kMicrokernel);  // evicts tile 1
   const telemetry::Snapshot after = telemetry::snapshot();
   EXPECT_GE(after.counter_delta(before, "recovery.quarantine_evictions"), 1u);
 }
@@ -191,14 +191,14 @@ TEST(Resilience, LadderWalksToScalarAndRecoversBitExact) {
                                            policy, ExecConfig{}, p.a, p.b,
                                            out);
   EXPECT_EQ(stats.abft_detected, 1);
-  EXPECT_EQ(stats.recovery.demotions, 3);
+  EXPECT_EQ(stats.recovery.demotions, 2);
   EXPECT_EQ(stats.recovery.demoted_to[static_cast<int>(
                 Route::kScalarReference)],
             1);
   EXPECT_EQ(stats.recovery.recovered_on[static_cast<int>(
                 Route::kScalarReference)],
             1);
-  EXPECT_GE(stats.recovery.retries, 4);
+  EXPECT_GE(stats.recovery.retries, 3);
   EXPECT_TRUE(bitwise_equal(out, ref));
   // Every detection resolves one way or another under the default
   // ladder (throw terminal would have escaped the call).
@@ -224,7 +224,7 @@ TEST(Resilience, QuarantineSkipsTheLadderOnTheNextCall) {
   Matrix<float> out1 = p.c;
   const TiledGemmStats s1 = tiled_sgemm(eng, single_tile_cfg(), abft_on(),
                                         policy, ExecConfig{}, p.a, p.b, out1);
-  EXPECT_EQ(s1.recovery.demotions, 3);
+  EXPECT_EQ(s1.recovery.demotions, 2);
   EXPECT_EQ(s1.recovery.quarantined, 1);
   EXPECT_EQ(quarantine.size(), 1u);
   EXPECT_TRUE(bitwise_equal(out1, ref));

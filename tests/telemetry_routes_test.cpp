@@ -31,15 +31,13 @@ namespace {
 
 /// Engine-side (output element, K-chunk) pairs attributed to `family`
 /// ("fp32" or "fp32c") between two snapshots. Every route counts each
-/// pair exactly once: the fused fast path, its per-term fallback, the
-/// generic (special/injector) path, and the microkernel's block pairs.
+/// pair exactly once: the generic (special/injector) path, and the
+/// microkernel's valid lanes in full and partial blocks.
 std::uint64_t element_chunk_pairs(const telemetry::Snapshot& after,
                                   const telemetry::Snapshot& before,
                                   const std::string& family) {
   const std::string base = "mxu." + family;
-  return after.counter_delta(before, base + ".chunks.fused") +
-         after.counter_delta(before, base + ".chunks.fallback") +
-         after.counter_delta(before, base + ".chunks.generic") +
+  return after.counter_delta(before, base + ".chunks.generic") +
          after.counter_delta(before, base + ".microkernel.pair_chunks");
 }
 
@@ -119,6 +117,75 @@ TEST(TelemetryRoutes, TiledSgemmUnalignedGeometry) {
       stats.staged_bytes);
 #else
   EXPECT_EQ(element_chunk_pairs(after, before, "fp32"), 0u);
+#endif
+}
+
+TEST(TelemetryRoutes, UnalignedCgemmCountsEveryOutputOnce) {
+  // The serving benchmark's 50^3 cgemm, on 18-column warp tiles: every
+  // warp tile ends in a partial register block (18 and 14 columns, 50
+  // rows), for 4x4 and 8x8 blocks alike. instr_count rounds the partial
+  // 16x8 instructions up, so the engine pair count is exact per output
+  // and bounded by mma_instructions * inst_m * inst_n. Every output
+  // lands in exactly one of block_elements (full blocks) and
+  // elements.edge (partial blocks), once per K-block.
+  //
+  // B columns 18 and 49 hold 2^72 in their first K-chunk, a 119-bit
+  // span in each of the 50 rows, where they are valid lanes: 100
+  // fallbacks. Column 18 also sits in the panel just past the first
+  // warp tile, under a masked lane of its last block, which must not
+  // pick it up.
+  const int m = 50, n = 50, k = 50;
+  Rng rng(53);
+  const auto unit = [&rng] {
+    return 1.0f + static_cast<float>(rng.next_below(1024)) / 1024.0f;
+  };
+  Matrix<std::complex<float>> a(m, k), b(k, n), c(m, n);
+  for (int i = 0; i < m; ++i) {
+    for (int t = 0; t < k; ++t) a(i, t) = {unit(), unit()};
+  }
+  for (int t = 0; t < k; ++t) {
+    for (int j = 0; j < n; ++j) b(t, j) = {unit(), unit()};
+  }
+  b(0, 18) = {1.0f, std::ldexp(1.0f, 72)};
+  b(0, n - 1) = {1.0f, std::ldexp(1.0f, 72)};
+  c.fill({});
+  const M3xuEngine engine;
+  const m3xu::gemm::TileConfig cfg{64, 54, 32, 64, 18};
+  const int inst_k =
+      m3xu::core::shape_for(m3xu::core::MxuMode::kFp32Complex).k;
+  std::uint64_t chunks = 0;  // sum over K-blocks of ceil(kc / inst_k)
+  std::uint64_t kblocks = 0;
+  for (int k0 = 0; k0 < k; k0 += cfg.block_k) {
+    const int kc = std::min(cfg.block_k, k - k0);
+    chunks += static_cast<std::uint64_t>((kc + inst_k - 1) / inst_k);
+    ++kblocks;
+  }
+  const telemetry::Snapshot before = telemetry::snapshot();
+  const TiledGemmStats stats = m3xu::gemm::tiled_cgemm(engine, cfg, a, b, c);
+  const telemetry::Snapshot after = telemetry::snapshot();
+  ASSERT_GT(stats.mma_instructions, 0);
+  const m3xu::core::MmaShape shape =
+      m3xu::core::shape_for(m3xu::core::MxuMode::kFp32Complex);
+  const auto outputs = static_cast<std::uint64_t>(m) * n;
+#if M3XU_TELEMETRY_ENABLED
+  const std::uint64_t pairs = element_chunk_pairs(after, before, "fp32c");
+  EXPECT_EQ(pairs, outputs * chunks);
+  EXPECT_LE(pairs, static_cast<std::uint64_t>(stats.mma_instructions) *
+                       shape.m * shape.n);
+  EXPECT_EQ(after.counter_delta(before, "mxu.fp32c.chunks.generic"), 0u);
+  const std::uint64_t edge =
+      after.counter_delta(before, "mxu.fp32c.elements.edge");
+  EXPECT_GT(edge, 0u);
+  const std::uint64_t blocked =
+      after.counter_delta(before, "mxu.fp32c.microkernel.block_elements");
+  EXPECT_EQ(blocked + edge, outputs * kblocks);
+  EXPECT_EQ(
+      after.counter_delta(before, "mxu.fp32c.microkernel.pair_fallbacks"),
+      2 * static_cast<std::uint64_t>(m));
+#else
+  (void)shape;
+  (void)outputs;
+  EXPECT_EQ(element_chunk_pairs(after, before, "fp32c"), 0u);
 #endif
 }
 
