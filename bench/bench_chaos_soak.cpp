@@ -30,6 +30,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,7 +44,7 @@
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "gemm/matrix.hpp"
-#include "gemm/tiled_driver.hpp"
+#include "gemm/plan.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_context.hpp"
@@ -152,6 +153,25 @@ gemm::AbftConfig soak_abft() {
   return abft;
 }
 
+/// One GEMM through a plan compiled for `engine`'s configuration. Every
+/// trial brings fresh operands, so B-panel reuse is off.
+template <typename T>
+gemm::TiledGemmStats run_gemm(
+    const core::M3xuEngine& engine, const gemm::TileConfig& tile,
+    const gemm::Matrix<T>& a, const gemm::Matrix<T>& b, gemm::Matrix<T>& c,
+    const gemm::AbftConfig& abft = {}, const gemm::RecoveryPolicy& policy = {},
+    const gemm::ExecRails& rails = {}) {
+  gemm::PlanOptions options;
+  options.tile = tile;
+  options.abft = abft;
+  options.policy = policy;
+  options.reuse_b_panels = false;
+  const gemm::PlanKey key{a.rows(), b.cols(), a.cols(),
+                          std::is_same_v<T, std::complex<float>>};
+  return gemm::GemmPlan::compile(engine.config(), key, options)
+      .execute(a, b, c, rails);
+}
+
 /// Detect-capable domains (datapath sites + staged panels): classify
 /// the raw damage unguarded, then require the guarded resilient run to
 /// detect every guaranteed-detectable corruption and emit an output
@@ -168,7 +188,7 @@ void soak_detect_domain(DomainStats& d, fault::Site site, double rate,
     fill(rng, b);
     fill(rng, c0);
     gemm::Matrix<float> ref = c0;
-    gemm::tiled_sgemm(clean, g.tile, a, b, ref);
+    run_gemm(clean, g.tile, a, b, ref);
 
     const fault::SiteRates rates = fault::SiteRates::only(site, rate);
     const std::uint64_t inj_seed = rng.seed() ^ 0xc4a05c4a05ull;
@@ -180,7 +200,7 @@ void soak_detect_domain(DomainStats& d, fault::Site site, double rate,
     raw_cfg.injector = &raw_inj;
     const core::M3xuEngine raw_eng(raw_cfg);
     gemm::Matrix<float> raw = c0;
-    gemm::tiled_sgemm(raw_eng, g.tile, a, b, raw);
+    run_gemm(raw_eng, g.tile, a, b, raw);
     d.faults += static_cast<long>(raw_inj.total_injected());
     std::vector<double> limit(static_cast<std::size_t>(g.n), 0.0);
     bool corrupting = false;
@@ -203,10 +223,10 @@ void soak_detect_domain(DomainStats& d, fault::Site site, double rate,
     const gemm::RecoveryPolicy policy;  // full ladder, throw terminal
     gemm::Matrix<float> fixed = c0;
     telemetry::TraceContext trace("soak", d.name);
-    gemm::ExecConfig exec;
+    gemm::ExecRails exec;
     exec.trace = &trace;
     const gemm::TiledGemmStats stats =
-        gemm::tiled_sgemm(eng, g.tile, abft, policy, exec, a, b, fixed);
+        run_gemm(eng, g.tile, a, b, fixed, abft, policy, exec);
     const bool detected = stats.abft_detected > 0;
     if (detected && d.timeline_json.empty()) {
       d.timeline_json = trace.to_json();
@@ -258,10 +278,10 @@ void soak_alloc_domain(DomainStats& d, int trials, const Rng& root) {
       fill(rng, b);
       fill(rng, c0);
       gemm::Matrix<float> ref = c0;
-      gemm::tiled_sgemm(clean, g.tile, a, b, ref);
+      run_gemm(clean, g.tile, a, b, ref);
       gemm::Matrix<float> out = c0;
-      const gemm::TiledGemmStats stats = gemm::tiled_sgemm(
-          eng, g.tile, abft, policy, gemm::ExecConfig{}, a, b, out);
+      const gemm::TiledGemmStats stats =
+          run_gemm(eng, g.tile, a, b, out, abft, policy);
       d.alloc_fallbacks += stats.recovery.alloc_fallbacks;
       if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     } else {
@@ -271,10 +291,10 @@ void soak_alloc_domain(DomainStats& d, int trials, const Rng& root) {
       fill(rng, b);
       fill(rng, c0);
       gemm::Matrix<C> ref = c0;
-      gemm::tiled_cgemm(clean, g.tile, a, b, ref);
+      run_gemm(clean, g.tile, a, b, ref);
       gemm::Matrix<C> out = c0;
-      const gemm::TiledGemmStats stats = gemm::tiled_cgemm(
-          eng, g.tile, abft, policy, gemm::ExecConfig{}, a, b, out);
+      const gemm::TiledGemmStats stats =
+          run_gemm(eng, g.tile, a, b, out, abft, policy);
       d.alloc_fallbacks += stats.recovery.alloc_fallbacks;
       if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     }
@@ -295,7 +315,7 @@ void soak_stall_domain(DomainStats& d, int trials, const Rng& root) {
     fill(rng, b);
     fill(rng, c0);
     gemm::Matrix<float> ref = c0;
-    gemm::tiled_sgemm(clean, g.tile, a, b, ref);
+    run_gemm(clean, g.tile, a, b, ref);
     fault::FaultInjector inj(rng.seed() ^ 0x57a11ull,
                              fault::SiteRates::only(fault::Site::kWorkerStall,
                                                     0.2));
@@ -304,8 +324,7 @@ void soak_stall_domain(DomainStats& d, int trials, const Rng& root) {
     cfg.injector = &inj;
     const core::M3xuEngine eng(cfg);
     gemm::Matrix<float> out = c0;
-    gemm::tiled_sgemm(eng, g.tile, soak_abft(), gemm::RecoveryPolicy{},
-                      gemm::ExecConfig{}, a, b, out);
+    run_gemm(eng, g.tile, a, b, out, soak_abft(), gemm::RecoveryPolicy{});
     d.faults += static_cast<long>(inj.total_injected());
     if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     ++d.trials;
@@ -324,7 +343,7 @@ void soak_cancel_domain(DomainStats& d, int trials, const Rng& root) {
     fill(rng, b);
     fill(rng, c0);
     gemm::Matrix<float> ref = c0;
-    gemm::tiled_sgemm(clean, g.tile, a, b, ref);
+    run_gemm(clean, g.tile, a, b, ref);
     CancellationToken token;
     const auto delay =
         std::chrono::microseconds(200 + 300 * (trial % 5));
@@ -332,12 +351,12 @@ void soak_cancel_domain(DomainStats& d, int trials, const Rng& root) {
       std::this_thread::sleep_for(delay);
       token.request_cancel("chaos soak cancel");
     });
-    gemm::ExecConfig exec;
+    gemm::ExecRails exec;
     exec.token = &token;
     gemm::Matrix<float> out = c0;
     try {
-      gemm::tiled_sgemm(clean, g.tile, soak_abft(), gemm::RecoveryPolicy{},
-                        exec, a, b, out);
+      run_gemm(clean, g.tile, a, b, out, soak_abft(), gemm::RecoveryPolicy{},
+               exec);
       if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     } catch (const CancelledError&) {
       ++d.cancelled;
@@ -364,13 +383,13 @@ void soak_watchdog_domain(DomainStats& d, int trials, const Rng& root) {
     core::M3xuConfig cfg;
     cfg.injector = &inj;
     const core::M3xuEngine eng(cfg);
-    gemm::ExecConfig exec;
+    gemm::ExecRails exec;
     exec.stall_ms = 20;
     exec.deadline_ms = 150;
     gemm::Matrix<float> out = c0;
     try {
-      gemm::tiled_sgemm(eng, g.tile, soak_abft(), gemm::RecoveryPolicy{},
-                        exec, a, b, out);
+      run_gemm(eng, g.tile, a, b, out, soak_abft(), gemm::RecoveryPolicy{},
+               exec);
       ++d.missing_aborts;
     } catch (const DeadlineExceeded&) {
       ++d.deadline_aborts;
@@ -392,16 +411,17 @@ void soak_clean_domain(DomainStats& d, int trials, const Rng& root) {
     fill(rng, b);
     fill(rng, c0);
     gemm::Matrix<float> ref = c0;
-    gemm::tiled_sgemm(clean, g.tile, a, b, ref);
+    run_gemm(clean, g.tile, a, b, ref);
     CancellationToken token;  // never cancelled
-    gemm::ExecConfig exec;
+    gemm::ExecRails exec;
     exec.token = &token;
     exec.deadline_ms = 60'000;
     exec.stall_ms = 60'000;
     const telemetry::Snapshot before = telemetry::snapshot();
     gemm::Matrix<float> out = c0;
-    const gemm::TiledGemmStats stats = gemm::tiled_sgemm(
-        clean, g.tile, soak_abft(), gemm::RecoveryPolicy{}, exec, a, b, out);
+    const gemm::TiledGemmStats stats =
+        run_gemm(clean, g.tile, a, b, out, soak_abft(), gemm::RecoveryPolicy{},
+                 exec);
     const telemetry::Snapshot after = telemetry::snapshot();
     if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     if (stats.abft_detected > 0) ++d.false_positives;

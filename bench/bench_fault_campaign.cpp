@@ -3,14 +3,15 @@
 // JSON SDC-coverage table (detected / corrected / escaped counts per
 // cell). The headline check: at per-opportunity rates >= 1e-4 the
 // guard detects >= 99% of guaranteed-detectable corruptions and the
-// detect/recompute protocol restores the fault-free result bitwise.
+// clean-recompute recovery preset restores the fault-free result
+// bitwise.
 //
 // Flags: --m/--n/--k geometry (must fit one tile), --trials per cell,
-// --seed, --rates=comma,separated, --tolerance-scale, --max-recompute,
+// --seed, --rates=comma,separated, --tolerance-scale (finite, >= 0),
 // --json-only to suppress the human-readable summary.
 //
 // Exit status: nonzero when any campaign cell escaped an SDC, so CI
-// can gate on coverage directly.
+// can gate on coverage directly, and on an invalid --tolerance-scale.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -66,8 +67,6 @@ int main(int argc, char** argv) {
   config.rates = parse_rates(cli.get("rates", "1e-5,1e-4,1e-3"));
   config.abft.tolerance_scale =
       cli.get_double("tolerance-scale", config.abft.tolerance_scale);
-  config.abft.max_recompute = static_cast<int>(
-      cli.get_int("max-recompute", config.abft.max_recompute));
   // Grow the tile with the geometry so the campaign stays single-tile.
   config.tile.block_m = ((config.m + 15) / 16) * 16;
   config.tile.block_n = ((config.n + 15) / 16) * 16;

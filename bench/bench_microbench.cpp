@@ -25,7 +25,7 @@
 #include "core/microkernel.hpp"
 #include "core/packed_panel.hpp"
 #include "fft/gemm_fft.hpp"
-#include "gemm/tiled_driver.hpp"
+#include "gemm/plan.hpp"
 #include "fp/exact_accumulator.hpp"
 #include "fp/split.hpp"
 
@@ -205,16 +205,19 @@ void BM_OuterProductTile(benchmark::State& state) {
 BENCHMARK(BM_OuterProductTile);
 
 void BM_TiledSgemm(benchmark::State& state) {
-  const core::M3xuEngine engine;
   Rng rng(13);
   const int n = 64;
   gemm::Matrix<float> a(n, n), b(n, n), c(n, n);
   fill_random(a, rng);
   fill_random(b, rng);
   c.fill(0.0f);
-  const gemm::TileConfig cfg{32, 32, 16, 16, 16};
+  gemm::PlanOptions options;
+  options.tile = gemm::TileConfig{32, 32, 16, 16, 16};
+  options.reuse_b_panels = false;  // keep the pack step in every call
+  const gemm::GemmPlan plan =
+      gemm::GemmPlan::compile(core::M3xuConfig{}, {n, n, n}, options);
   for (auto _ : state) {
-    gemm::tiled_sgemm(engine, cfg, a, b, c);
+    plan.execute(a, b, c);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);

@@ -65,7 +65,7 @@
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "gemm/matrix.hpp"
-#include "gemm/tiled_driver.hpp"
+#include "gemm/plan.hpp"
 #include "serve/server.hpp"
 #include "telemetry/exposition.hpp"
 #include "telemetry/json.hpp"
@@ -129,6 +129,17 @@ struct Geometry {
 Geometry single_tile() { return {48, 48, 96, {48, 48, 32, 16, 16}}; }
 Geometry multi_tile() { return {96, 96, 64, {32, 32, 32, 16, 16}}; }
 
+/// C += A*B through a one-shot plan on the fault-free engine.
+void clean_sgemm(const gemm::TileConfig& tile, const gemm::Matrix<float>& a,
+                 const gemm::Matrix<float>& b, gemm::Matrix<float>& c) {
+  gemm::PlanOptions options;
+  options.tile = tile;
+  options.reuse_b_panels = false;
+  gemm::GemmPlan::compile(core::M3xuConfig{}, {a.rows(), b.cols(), a.cols()},
+                          options)
+      .execute(a, b, c);
+}
+
 std::vector<Tenant> make_tenants(int count, const Geometry& g,
                                  std::uint64_t seed, bool with_limits) {
   const core::M3xuEngine clean{core::M3xuConfig{}};
@@ -148,7 +159,7 @@ std::vector<Tenant> make_tenants(int count, const Geometry& g,
     fill_random(tn.b, rng);
     fill_random(tn.c0, rng);
     tn.golden = tn.c0;
-    gemm::tiled_sgemm(clean, g.tile, tn.a, tn.b, tn.golden);
+    clean_sgemm(g.tile, tn.a, tn.b, tn.golden);
     if (with_limits) {
       tn.limit.resize(static_cast<std::size_t>(g.n));
       for (int j = 0; j < g.n; ++j) {
@@ -301,9 +312,8 @@ CleanResult run_clean(bool quick, std::uint64_t seed) {
   // open-loop stream runs near (but under) saturation on any machine.
   const double t0 = now_ms();
   {
-    const core::M3xuEngine clean{core::M3xuConfig{}};
     gemm::Matrix<float> warm = tenants[0].c0;
-    gemm::tiled_sgemm(clean, g.tile, tenants[0].a, tenants[0].b, warm);
+    clean_sgemm(g.tile, tenants[0].a, tenants[0].b, warm);
   }
   const double service_ms = std::max(0.5, now_ms() - t0);
   const double mean_gap_ms = service_ms / static_cast<double>(cfg.executors);

@@ -40,7 +40,7 @@ inline std::uint64_t area(int rows, int cols) {
 // is installed on this thread (the tiled driver installs it around
 // each tile). event_once keeps the per-request log bounded no matter
 // how many panel calls the request issues.
-inline void trace_route_generic(const char* name, std::uint64_t n_generic) {
+inline void trace_generic_route(const char* name, std::uint64_t n_generic) {
   if (n_generic == 0) return;
   telemetry::TraceContext* const t = telemetry::current_trace_context();
   if (t != nullptr) t->event_once(name);
@@ -478,7 +478,7 @@ void M3xuEngine::gemm_fp32_prepacked(const PackedPanelFp32A& a, int row0,
     rt_fp32_special.add(area(m, n));
   }
   rt_fp32_generic.add(n_generic);
-  trace_route_generic("core.fp32.route.generic", n_generic);
+  trace_generic_route("core.fp32.route.generic", n_generic);
 }
 
 void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
@@ -587,7 +587,7 @@ void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
     rt_fp32c_special.add(area(m, n));
   }
   rt_fp32c_generic.add(n_generic);
-  trace_route_generic("core.fp32c.route.generic", n_generic);
+  trace_generic_route("core.fp32c.route.generic", n_generic);
 }
 
 void M3xuEngine::gemm_fp32_packed(int m, int n, int k, const float* a,

@@ -7,6 +7,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "gemm/matrix.hpp"
+#include "gemm/plan.hpp"
 #include "telemetry/json.hpp"
 
 namespace m3xu::fault {
@@ -32,6 +33,26 @@ bool bitwise_equal(const gemm::Matrix<float>& x, const gemm::Matrix<float>& y) {
     }
   }
   return true;
+}
+
+/// One single-tile SGEMM through a plan compiled for `engine_cfg`.
+/// The guarded run uses the clean-recompute preset: a detected tile
+/// goes straight to the fault-free scalar rung, so every correction is
+/// bit-exact and a residual mismatch is a genuine escape.
+gemm::TiledGemmStats plan_sgemm(const core::M3xuConfig& engine_cfg,
+                                const CampaignConfig& cfg,
+                                const gemm::AbftConfig& abft,
+                                const gemm::Matrix<float>& a,
+                                const gemm::Matrix<float>& b,
+                                gemm::Matrix<float>& c) {
+  gemm::PlanOptions options;
+  options.tile = cfg.tile;
+  options.abft = abft;
+  options.policy.retries_per_route = 0;
+  options.reuse_b_panels = false;  // one execute per plan
+  const gemm::GemmPlan plan = gemm::GemmPlan::compile(
+      engine_cfg, gemm::PlanKey{cfg.m, cfg.n, cfg.k, false}, options);
+  return plan.execute(a, b, c);
 }
 
 struct TrialOutcome {
@@ -63,7 +84,7 @@ TrialOutcome run_trial(const CampaignConfig& cfg, Site site, double rate,
 
   // Fault-free reference through the same tiled path.
   gemm::Matrix<float> ref = c0;
-  gemm::tiled_sgemm(clean, cfg.tile, a, b, ref);
+  plan_sgemm(clean.config(), cfg, gemm::AbftConfig{}, a, b, ref);
 
   TrialOutcome out;
 
@@ -71,9 +92,8 @@ TrialOutcome run_trial(const CampaignConfig& cfg, Site site, double rate,
   const FaultInjector unguarded_inj(inj_seed, rates);
   core::M3xuConfig faulty_cfg;
   faulty_cfg.injector = &unguarded_inj;
-  const core::M3xuEngine faulty(faulty_cfg);
   gemm::Matrix<float> raw = c0;
-  gemm::tiled_sgemm(faulty, cfg.tile, a, b, raw);
+  plan_sgemm(faulty_cfg, cfg, gemm::AbftConfig{}, a, b, raw);
   out.faults = static_cast<long>(unguarded_inj.total_injected());
   out.perturbed = !bitwise_equal(raw, ref);
   for (int j = 0; j < cfg.n && !out.corrupting; ++j) {
@@ -98,11 +118,10 @@ TrialOutcome run_trial(const CampaignConfig& cfg, Site site, double rate,
   const FaultInjector guarded_inj(inj_seed, rates);
   core::M3xuConfig guarded_cfg;
   guarded_cfg.injector = &guarded_inj;
-  const core::M3xuEngine guarded(guarded_cfg);
   gemm::Matrix<float> fixed = c0;
   try {
     const gemm::TiledGemmStats stats =
-        gemm::tiled_sgemm(guarded, cfg.tile, cfg.abft, a, b, fixed);
+        plan_sgemm(guarded_cfg, cfg, cfg.abft, a, b, fixed);
     out.detected = stats.abft_detected > 0;
     out.corrected = out.detected && bitwise_equal(fixed, ref);
   } catch (const gemm::AbftFailure&) {
@@ -159,6 +178,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   M3XU_CHECK_MSG(config.abft.enable,
                  "fault campaign measures the ABFT guard; abft.enable must "
                  "be set");
+  gemm::validate_abft_config(config.abft);
   CampaignResult result;
   result.config = config;
   std::size_t cell_index = 0;
@@ -198,7 +218,6 @@ std::string to_json(const CampaignResult& result) {
       .kv("trials", result.config.trials)
       .kv("seed", result.config.seed)
       .kv("tolerance_scale", result.config.abft.tolerance_scale)
-      .kv("max_recompute", result.config.abft.max_recompute)
       .end_object();
   w.key("cells").begin_array();
   for (const CampaignCell& cell : result.cells) {

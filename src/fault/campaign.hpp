@@ -12,7 +12,9 @@
 //      guaranteed-detectable; below it, the flip hides inside legit
 //      rounding and is benign by construction);
 //   2. guarded, to measure what the ABFT checksums actually catch and
-//      what the detect/recompute protocol repairs.
+//      what the clean-recompute preset (RecoveryPolicy with
+//      retries_per_route = 0: straight to the fault-free scalar rung)
+//      repairs.
 // The campaign uses a single-tile geometry so the serial parallel_for
 // path keeps the injector call order bit-reproducible.
 #pragma once
@@ -42,7 +44,7 @@ struct CampaignConfig {
                              Site::kPartialProduct, Site::kAccumulator};
   /// Per-opportunity flip rates swept per site.
   std::vector<double> rates = {1e-5, 1e-4, 1e-3};
-  gemm::AbftConfig abft{true, 1.0, 2};
+  gemm::AbftConfig abft{true, 1.0};
 };
 
 /// Outcome counts for one (site, rate) cell of the sweep.

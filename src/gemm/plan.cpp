@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
-#include <optional>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -153,7 +152,6 @@ struct GemmPlan::Impl {
   // invalidate the pointers.
   core::M3xuEngine engine;
   core::M3xuEngine clean;
-  std::optional<core::M3xuEngine> route_generic;
   CompiledDispatch dispatch;
   mutable LocalPanelStore b_store;
   mutable std::atomic<std::uint64_t> executions{0};
@@ -180,23 +178,13 @@ struct GemmPlan::Impl {
                    "compiled PlanKey exactly");
     const telemetry::ScopedTimer span("plan.execute");
 
-    // Per-execute rails over the frozen dispatch. The dispatch copy is
-    // a handful of words; the engines behind it are not copied.
-    CompiledDispatch d = dispatch;
-    d.policy.quarantine = rails.quarantine;
-    ExecConfig exec;
-    exec.token = rails.token;
-    exec.deadline_ms = rails.deadline_ms;
-    exec.stall_ms = rails.stall_ms;
-    exec.pool = rails.pool;
-    exec.trace = rails.trace;
     if (rails.trace != nullptr) {
       rails.trace->event("plan.execute", -1, -1, label);
     }
-    if (rails.b_cache != nullptr) {
-      exec.b_cache = rails.b_cache;
-      exec.b_key = rails.b_key;
-    } else if (options.reuse_b_panels) {
+    // Without an external cache the plan's private store serves B
+    // panels, keyed by the fingerprint of these B bytes.
+    ExecRails exec = rails;
+    if (rails.b_cache == nullptr && options.reuse_b_panels) {
       const std::uint64_t fp = fingerprint(b);
       if (b_store.retarget(fp)) {
         b_store.count_refresh();
@@ -205,8 +193,8 @@ struct GemmPlan::Impl {
       exec.b_cache = &b_store;
       exec.b_key = fp;
     }
-    validate_resilience_config(d.policy, exec);
-    TiledGemmStats stats = tiled_execute(d, exec, a, b, c);
+    validate_resilience_config(dispatch.policy, exec);
+    TiledGemmStats stats = tiled_execute(dispatch, exec, a, b, c);
     executions.fetch_add(1, std::memory_order_relaxed);
     plan_execute_ctr.increment();
     return stats;
@@ -226,21 +214,14 @@ GemmPlan GemmPlan::compile(const core::M3xuConfig& engine_cfg,
   const core::MmaShape shape = core::shape_for(
       key.cplx ? core::MxuMode::kFp32Complex : core::MxuMode::kFp32);
   validate_tile_config(options.tile, shape.k);
+  validate_abft_config(options.abft);
   // Rails are validated per execute; compile validates the frozen
   // policy against an empty rail set so a bad policy fails here.
-  validate_resilience_config(options.policy, ExecConfig{});
+  validate_resilience_config(options.policy, ExecRails{});
 
   core::M3xuConfig clean_cfg = engine_cfg;
   clean_cfg.injector = nullptr;
   auto impl = std::make_unique<Impl>(engine_cfg, clean_cfg, key, options);
-  // The quarantine is a per-execute rail; never freeze a caller's
-  // pointer into the plan.
-  impl->options.policy.quarantine = nullptr;
-  if (impl->options.policy.demote) {
-    core::M3xuConfig c_gen = engine_cfg;
-    c_gen.force_generic = true;
-    impl->route_generic.emplace(c_gen);
-  }
   CompiledDispatch& d = impl->dispatch;
   d.tile = impl->options.tile;
   d.abft = impl->options.abft;
@@ -251,8 +232,6 @@ GemmPlan GemmPlan::compile(const core::M3xuConfig& engine_cfg,
   d.eps_chunk = eps_per_chunk(engine_cfg.accum_prec);
   d.engine = &impl->engine;
   d.clean = &impl->clean;
-  d.route_generic =
-      impl->route_generic.has_value() ? &*impl->route_generic : nullptr;
   plan_compile_ctr.increment();
   return GemmPlan(std::move(impl));
 }

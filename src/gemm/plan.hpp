@@ -1,9 +1,8 @@
-// Compile-then-execute GEMM plans.
+// Compile-then-execute GEMM plans - the one way into the tiled driver.
 //
-// Every ad-hoc tiled_sgemm/tiled_cgemm call re-derives the same
-// artifacts: config validation, the mode's MMA instruction shape, the
-// per-chunk rounding bound, a fault-free engine clone for ABFT
-// recompute, a route-forced clone for quarantined tiles, and - in
+// Every GEMM needs the same per-shape artifacts: config validation,
+// the mode's MMA instruction shape, the per-chunk rounding bound, a
+// fault-free engine clone for the terminal recovery rung, and - in
 // serving workloads - the packed B panels of weights that never
 // change. A GemmPlan compiles all of that exactly once from (problem
 // shape, dtype, PlanOptions) and then executes many times with zero
@@ -12,16 +11,15 @@
 //   GemmPlan plan = GemmPlan::compile(engine_cfg, {m, n, k, cplx});
 //   plan.execute(a, b, c);   // validated, cloned, prepacked already
 //
-// Execution is bit-identical to the ad-hoc path by construction: both
-// run the same run_tiled core (gemm/tiled_driver.cpp) with the same
-// frozen configs - verified by tests across every route rung and both
-// dtypes.
+// Execution is bit-identical to the flat engine loop (same K-chunk
+// rounding boundaries) - verified by tests across every route rung and
+// both dtypes.
 //
 // Frozen at compile: tile/ABFT/recovery configs (validated), engines,
-// telemetry labels, the B-panel store. Per-execute (ExecRails):
-// cancellation token, deadline/stall watchdog windows, the tenant's
-// TileQuarantine, and an external PanelCache - everything that varies
-// request-to-request in the serving layer.
+// telemetry labels, the B-panel store. Per-execute (ExecRails,
+// gemm/recovery.hpp): cancellation token, deadline/stall watchdog
+// windows, the tenant's TileQuarantine, and an external PanelCache -
+// everything that varies request-to-request in the serving layer.
 //
 // B-panel reuse: with PlanOptions.reuse_b_panels (default on) the plan
 // owns a private panel store keyed by a fingerprint of the B bytes.
@@ -62,8 +60,7 @@ struct PlanKey {
 /// log label for one plan identity.
 std::string plan_key_label(const PlanKey& key);
 
-/// Everything a plan freezes beyond the problem identity. The policy's
-/// quarantine pointer is ignored (quarantine is a per-execute rail).
+/// Everything a plan freezes beyond the problem identity.
 struct PlanOptions {
   TileConfig tile;
   AbftConfig abft;
@@ -75,27 +72,6 @@ struct PlanOptions {
   bool reuse_b_panels = true;
 };
 
-/// Per-execute guard rails - the request-scoped counterpart of the
-/// frozen PlanOptions. Mirrors ExecConfig but adds the quarantine
-/// (frozen policies cannot carry per-tenant state).
-struct ExecRails {
-  const CancellationToken* token = nullptr;
-  std::int64_t deadline_ms = 0;
-  std::int64_t stall_ms = 0;
-  /// Per-tenant tile memory for this execute; may be null.
-  TileQuarantine* quarantine = nullptr;
-  /// External shared prepacked-B cache (e.g. the serving PackCache).
-  /// Takes precedence over the plan's private store when non-null.
-  PanelCache* b_cache = nullptr;
-  std::uint64_t b_key = 0;
-  /// Thread pool this execute partitions tiles across (non-owning;
-  /// null = the global pool). Bit-identical for every pool size.
-  ThreadPool* pool = nullptr;
-  /// Request-scoped trace this execute logs milestones into (non-
-  /// owning; may be null). Forwarded to ExecConfig::trace.
-  telemetry::TraceContext* trace = nullptr;
-};
-
 /// Pack/reuse statistics of a plan's private B-panel store.
 struct PlanPanelStats {
   std::uint64_t hits = 0;      // packs skipped (panel served from store)
@@ -105,12 +81,11 @@ struct PlanPanelStats {
 
 class GemmPlan {
  public:
-  /// Compiles a plan: validates every config (through the same
-  /// validators as the ad-hoc entry points, so invalid configs fail
+  /// Compiles a plan: validates every config (so invalid configs fail
   /// here, not mid-execute), freezes the MMA instruction shape and
   /// rounding bound, and constructs the engine set (primary from
-  /// `engine_cfg`, fault-free clone, route-forced clone when the
-  /// demotion ladder is on). O(1) in the problem size.
+  /// `engine_cfg` plus its fault-free clone). O(1) in the problem
+  /// size.
   static GemmPlan compile(const core::M3xuConfig& engine_cfg,
                           const PlanKey& key, const PlanOptions& options = {});
 
@@ -121,8 +96,7 @@ class GemmPlan {
   ~GemmPlan();
 
   /// C <- A*B + C with the plan's frozen configuration. Operands must
-  /// match key() exactly (M3XU_CHECK). Bit-identical to the ad-hoc
-  /// driver with the same configs.
+  /// match key() exactly (M3XU_CHECK).
   TiledGemmStats execute(const Matrix<float>& a, const Matrix<float>& b,
                          Matrix<float>& c) const;
   TiledGemmStats execute(const Matrix<float>& a, const Matrix<float>& b,

@@ -13,8 +13,6 @@ const char* route_name(Route route) {
   switch (route) {
     case Route::kMicrokernel:
       return "microkernel";
-    case Route::kGenericPerDot:
-      return "generic_perdot";
     case Route::kScalarReference:
       return "scalar_reference";
   }

@@ -1,15 +1,14 @@
-// Recovery policy for the resilient tiled GEMM driver: the existing
-// route hierarchy doubles as a degradation ladder.
+// Recovery policy for the tiled GEMM driver: the route hierarchy
+// doubles as a degradation ladder.
 //
 // Every route computes bit-identical results by construction (same
 // step schedule, same rounding points - verified by the tiled tests),
-// so demoting a tile trades only throughput, never numerics. Three
+// so demoting a tile trades only throughput, never numerics. Two
 // rungs:
 //
-//   kMicrokernel      register-blocked packed microkernel, partial edge
-//                     blocks included (fastest)
-//   kGenericPerDot    generic per-dot reassembly from packed lanes (a
-//                     force_generic engine clone)
+//   kMicrokernel      the engine's prepacked GEMM over packed panels
+//                     (register-blocked microkernel, or its generic
+//                     per-dot loop when a fault injector is attached)
 //   kScalarReference  plain per-dot gemm over the staged buffers
 //                     (no packing at all - also the allocation-failure
 //                     fallback)
@@ -19,9 +18,11 @@
 // RecoveryPolicy::floor. The bottom rung runs on the fault-free engine
 // clone (the "trusted scalar unit"), whose deterministic reproduction
 // either passes the checksum or proves the mismatch is a tolerance
-// artifact - so a full ladder always terminates. Persistent offenders
-// can be remembered in a TileQuarantine so later calls start them on a
-// lower rung directly. See docs/RESILIENCE.md.
+// artifact - so a full ladder always terminates. retries_per_route = 0
+// is the clean-recompute preset: no primary-rung retries, straight to
+// the fault-free rung, so every correction is bit-exact. Persistent
+// offenders can be remembered in a TileQuarantine so later calls start
+// them on a lower rung directly. See docs/RESILIENCE.md.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +48,10 @@ class PanelCache;  // see gemm/panel_cache.hpp
 /// are *lower* rungs.
 enum class Route : int {
   kMicrokernel = 0,
-  kGenericPerDot = 1,
-  kScalarReference = 2,
+  kScalarReference = 1,
 };
 
-inline constexpr int kRouteCount = 3;
+inline constexpr int kRouteCount = 2;
 
 const char* route_name(Route route);
 
@@ -108,12 +108,13 @@ class TileQuarantine {
 
 /// How the driver escalates when a tile's ABFT checksum keeps failing.
 struct RecoveryPolicy {
-  /// Master switch. false reproduces the legacy protocol exactly:
-  /// AbftConfig::max_recompute fault-free recomputes on the original
-  /// route, then AbftFailure - no ladder, no quarantine.
-  bool demote = true;
-  /// Retry attempts per rung before demoting one rung further. The
-  /// terminal scalar rung always gets at least 2 attempts so its
+  /// Retry attempts on each rung above the floor before demoting one
+  /// rung further. Primary-rung retries run through a per-tile retry
+  /// injector, so a retry can pass the checksum while still carrying a
+  /// sub-tolerance flip. 0 is the clean-recompute preset: no
+  /// primary-rung attempts, every detection goes straight to the
+  /// fault-free scalar rung and every correction is bit-exact. The
+  /// scalar rung always gets max(2, retries_per_route) attempts so its
   /// deterministic reproduction can prove a false alarm.
   int retries_per_route = 1;
   /// Lowest rung the ladder may demote to. Raising the floor above
@@ -129,30 +130,35 @@ struct RecoveryPolicy {
     kPoison,   // overwrite the tile with quiet NaNs, count, continue
   };
   Terminal terminal = Terminal::kThrow;
-  /// Optional cross-call tile memory (non-owning; may be null).
-  TileQuarantine* quarantine = nullptr;
   /// Root for the per-tile deterministic retry streams: tile t's retry
   /// injector is seeded from Rng(seed ^ injector seed).split(t), so
   /// recovery replays identically regardless of thread interleaving.
   std::uint64_t retry_seed = 0x5eedbed5ull;
 };
 
-/// Execution guard rails threaded through the driver's parallel_for
-/// calls and its per-chunk checkpoints. All default-off: the default
-/// ExecConfig leaves the driver byte-identical to the unguarded path.
-struct ExecConfig {
+/// Per-execute guard rails threaded through the driver's parallel_for
+/// calls and its per-chunk checkpoints - the request-scoped
+/// counterpart of the options a GemmPlan freezes at compile. All
+/// default-off: the default ExecRails leaves the driver byte-identical
+/// to the unguarded path.
+struct ExecRails {
   /// Cooperative cancellation, polled per tile and per staged K-block.
   const CancellationToken* token = nullptr;
   /// Watchdog wall deadline per parallel_for call, in ms (0 = none).
   std::int64_t deadline_ms = 0;
   /// Watchdog no-progress window, in ms (0 = none). Requires a nonzero
-  /// deadline_ms as a backstop (validated at driver entry).
+  /// deadline_ms as a backstop (validated at execute).
   std::int64_t stall_ms = 0;
-  /// Optional shared prepacked-B cache (non-owning; may be null). Only
-  /// consulted when b_key is nonzero and the engine carries no fault
-  /// injector - injected staged-panel corruption must never enter a
-  /// cache shared across requests. Ladder retries always repack
-  /// locally, so a corrupted cached panel cannot defeat recovery.
+  /// Per-tenant cross-call tile memory for this execute (non-owning;
+  /// may be null).
+  TileQuarantine* quarantine = nullptr;
+  /// Optional shared prepacked-B cache (non-owning; may be null), e.g.
+  /// the serving PackCache. Takes precedence over a plan's private
+  /// store. Only consulted when b_key is nonzero and the engine
+  /// carries no fault injector - injected staged-panel corruption must
+  /// never enter a cache shared across requests. Ladder retries always
+  /// repack locally, so a corrupted cached panel cannot defeat
+  /// recovery.
   PanelCache* b_cache = nullptr;
   /// Caller-assigned identity of the B matrix contents for cache keys
   /// (0 = caching disabled for this call). Callers must guarantee two

@@ -203,14 +203,13 @@ void corrupt_staged_value(const fault::FaultInjector& inj,
 }
 
 /// Shared implementation over the element type, driven entirely by a
-/// CompiledDispatch: the caller (an ad-hoc entry point or a GemmPlan)
-/// owns the validated configs and every engine the tile loop needs -
-/// primary (possibly fault-injected), fault-free clone for ABFT
-/// recompute and the terminal scalar rung, and the route-forced clone
-/// for quarantined tiles' initial passes. Nothing config-derived is
-/// computed here, so a plan amortizes it all across executes.
+/// CompiledDispatch: the owning GemmPlan holds the validated configs
+/// and both engines the tile loop needs - primary (possibly
+/// fault-injected) and the fault-free clone for the terminal scalar
+/// rung. Nothing config-derived is computed here, so a plan amortizes
+/// it all across executes.
 template <typename T>
-TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
+TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecRails& rails,
                          const Matrix<T>& a, const Matrix<T>& b,
                          Matrix<T>& c) {
   using Traits = ChecksumTraits<T>;
@@ -227,24 +226,18 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
   const int m = a.rows(), n = b.cols(), k = a.cols();
   const TileGrid grid = make_grid(cfg, m, n);
   const long chunks = chunk_roundings(k, cfg.block_k, inst_k);
-  const ParallelOptions popts{exec.token, exec.deadline_ms, exec.stall_ms};
+  const ParallelOptions popts{rails.token, rails.deadline_ms, rails.stall_ms};
   // Tile partitioning runs on the caller-selected pool (null = the
   // process-wide default). Tiles are independent and each tile's
   // K-chunk schedule is fixed, so the result is bit-identical for
   // every pool size and schedule.
-  ThreadPool& pool = exec.pool != nullptr ? *exec.pool : ThreadPool::global();
-
-  const auto initial_engine = [&](Route r) -> const core::M3xuEngine& {
-    // kMicrokernel is the engine's natural preference; the scalar
-    // rung bypasses packing entirely, so route config is moot.
-    return r == Route::kGenericPerDot ? *d.route_generic : engine;
-  };
+  ThreadPool& pool = rails.pool != nullptr ? *rails.pool : ThreadPool::global();
 
   std::mutex stats_mu;
   TiledGemmStats stats;
   stats.block_tiles = grid.tiles();
-  if (exec.trace != nullptr) {
-    exec.trace->event("exec.start", grid.tiles(), static_cast<long>(k));
+  if (rails.trace != nullptr) {
+    rails.trace->event("exec.start", grid.tiles(), static_cast<long>(k));
   }
 
   // ABFT column-checksum ingredients: asum/amag depend only on a tile's
@@ -284,13 +277,13 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
     // Request-scoped tracing: `trace` gets tile-level milestones, and
     // installing it as the thread-local context lets the core route
     // dispatch attribute route decisions to this request.
-    telemetry::TraceContext* const trace = exec.trace;
+    telemetry::TraceContext* const trace = rails.trace;
     const telemetry::TraceContextScope trace_scope(trace);
     const int bm = static_cast<int>(tile_row) * cfg.block_m;
     const int bn = static_cast<int>(tile_col) * cfg.block_n;
     const int m_eff = std::min(cfg.block_m, m - bm);
     const int n_eff = std::min(cfg.block_n, n - bn);
-    // The C fragment's initial contents (kept for ABFT recompute).
+    // The C fragment's initial contents (kept for ladder retries).
     std::vector<T> c_in(static_cast<std::size_t>(m_eff) * n_eff);
     for (int i = 0; i < m_eff; ++i) {
       for (int j = 0; j < n_eff; ++j) {
@@ -301,12 +294,12 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
 
     // One pass of the tile mainloop into `frag` (which must hold the
     // initial C fragment). Traffic counters accumulate into `counters`
-    // on the first pass only; ABFT recomputes are tracked separately.
+    // on the first pass only; ladder retries are tracked separately.
     // `route` picks the datapath rung; kScalarReference skips packing
     // and runs the staged buffers through the flat per-dot GEMM
     // (bit-identical K-chunk boundaries). `allow_cache` gates the
     // shared prepacked-B cache: only the initial pass may use it -
-    // ladder retries and recomputes always repack locally so recovery
+    // ladder retries always repack locally so recovery
     // never depends on a cached panel's integrity.
     const auto compute_tile = [&](const core::M3xuEngine& eng, Route route,
                                   std::vector<T>& frag,
@@ -336,7 +329,7 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
       if (a_stage.size() < a_need) a_stage.resize(a_need);
       if (b_stage.size() < b_need) b_stage.resize(b_need);
       for (int k0 = 0; k0 < k; k0 += cfg.block_k) {
-        if (exec.token != nullptr) exec.token->check();
+        if (rails.token != nullptr) rails.token->check();
         const int kc = std::min(cfg.block_k, k - k0);
         {
           // Stage the A and B panels (cp.async in the real kernel).
@@ -391,14 +384,14 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
               // b_key, so consult the cache first. Never with an
               // injector attached: corrupted staging must not be
               // published into shared state.
-              const bool cacheable = allow_cache && exec.b_cache != nullptr &&
-                                     exec.b_key != 0 && inj == nullptr;
+              const bool cacheable = allow_cache && rails.b_cache != nullptr &&
+                                     rails.b_key != 0 && inj == nullptr;
               bool b_cached = false;
               if (cacheable) {
-                const PanelKey key{exec.b_key, k0,   bn,
+                const PanelKey key{rails.b_key, k0,   bn,
                                    kc,         n_eff, PackedOps<T>::kCplx};
                 b_cached =
-                    PackedOps<T>::cache_get(*exec.b_cache, key, &b_panel);
+                    PackedOps<T>::cache_get(*rails.b_cache, key, &b_panel);
                 if (trace != nullptr) {
                   trace->event(b_cached ? "pack.cache.hit" : "pack.cache.miss",
                                static_cast<long>(t), k0);
@@ -406,7 +399,7 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
                 if (!b_cached) {
                   PackedOps<T>::pack_b(b_stage.data(), n_eff, kc, n_eff,
                                        b_panel);
-                  PackedOps<T>::cache_put(*exec.b_cache, key, b_panel);
+                  PackedOps<T>::cache_put(*rails.b_cache, key, b_panel);
                 }
               } else {
                 PackedOps<T>::pack_b(b_stage.data(), n_eff, kc, n_eff,
@@ -462,9 +455,9 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
 
     // Quarantined tiles start directly on their recorded rung.
     Route start_route = Route::kMicrokernel;
-    if (policy.demote && policy.quarantine != nullptr) {
+    if (rails.quarantine != nullptr) {
       Route q = start_route;
-      if (policy.quarantine->lookup(static_cast<long>(t), &q)) {
+      if (rails.quarantine->lookup(static_cast<long>(t), &q)) {
         start_route = std::min(q, policy.floor, [](Route x, Route y) {
           return static_cast<int>(x) < static_cast<int>(y);
         });
@@ -477,8 +470,7 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
     }
 
     std::vector<T> c_frag = c_in;
-    compute_tile(initial_engine(start_route), start_route, c_frag, &local,
-                 /*allow_cache=*/true);
+    compute_tile(engine, start_route, c_frag, &local, /*allow_cache=*/true);
 
     if (abft.enable) {
       const telemetry::ScopedTimer span("tile.abft", &local.abft_seconds);
@@ -531,185 +523,140 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
         }
         bool resolved = false;
         std::vector<T> prev = c_frag;
-        if (!policy.demote) {
-          // Legacy protocol: bounded fault-free recomputes on the
-          // original route, then AbftFailure.
-          const int attempts = std::max(1, abft.max_recompute);
-          for (int attempt = 0; attempt < attempts && !resolved; ++attempt) {
+        // Demotion ladder. Retries above the scalar rung re-run the
+        // tile on the *primary* datapath (transient faults clear on
+        // re-execution); the terminal scalar rung runs on the
+        // fault-free clone, whose deterministic result either passes
+        // the checksum or proves a false alarm - so the default ladder
+        // always terminates. retries_per_route = 0 skips straight to
+        // the scalar rung (the clean-recompute preset).
+        //
+        // Retry determinism: the primary injector's opportunity
+        // counters are shared across tiles, so retries through it
+        // would depend on thread interleaving. Each tile instead
+        // gets a private injector seeded from
+        // Rng(retry_seed ^ primary seed).split(tile) - a pure
+        // function of (seeds, tile index).
+        std::optional<fault::FaultInjector> retry_inj;
+        core::M3xuConfig retry_base = engine.config();
+        if (retry_base.injector != nullptr) {
+          retry_inj.emplace(Rng(policy.retry_seed ^
+                                retry_base.injector->seed())
+                                .split(static_cast<std::uint64_t>(t))
+                                .seed(),
+                            retry_base.injector->rates());
+          retry_inj->stall_duration_ms =
+              retry_base.injector->stall_duration_ms;
+          retry_base.injector = &*retry_inj;
+        }
+        const core::M3xuEngine retry_eng(retry_base);
+        bool false_alarm = false;
+        Route rung = start_route;
+        int total_attempts = 0;
+        for (;;) {
+          const bool scalar_clean = rung == Route::kScalarReference;
+          const int attempts_here =
+              scalar_clean ? std::max(2, policy.retries_per_route)
+                           : policy.retries_per_route;
+          for (int attempt = 0; attempt < attempts_here && !resolved;
+               ++attempt) {
             std::vector<T> redo = c_in;
-            compute_tile(clean, Route::kMicrokernel, redo, nullptr,
-                         /*allow_cache=*/false);
-            ++local.abft_recomputed;
             if (trace != nullptr) {
-              trace->event("abft.recompute", static_cast<long>(t), attempt);
+              trace->event("recovery.retry", static_cast<long>(t),
+                           static_cast<long>(rung));
             }
+            compute_tile(scalar_clean ? clean : retry_eng, rung, redo,
+                         nullptr, /*allow_cache=*/false);
+            ++local.abft_recomputed;
+            ++local.recovery.retries;
+            ++total_attempts;
             if (verify(redo)) {
               c_frag = std::move(redo);
               ++local.abft_recovered;
+              ++local.recovery.recovered_on[static_cast<int>(rung)];
               resolved = true;
+              if (trace != nullptr) {
+                trace->event("recovery.recovered", static_cast<long>(t),
+                             static_cast<long>(rung));
+              }
             } else if (std::memcmp(redo.data(), prev.data(),
                                    redo.size() * sizeof(T)) == 0) {
-              // The deterministic fault-free engine reproduced the same
-              // bits: the residual is a tolerance artifact of this
-              // input, not a transient fault. Keep the reproduced
-              // result.
+              // Two identical results that both fail the checksum:
+              // tolerance artifact, not a fault. Keep the bits.
               c_frag = std::move(redo);
               ++local.abft_false_alarms;
               resolved = true;
+              false_alarm = true;
+              if (trace != nullptr) {
+                trace->event("abft.false_alarm", static_cast<long>(t),
+                             static_cast<long>(rung));
+              }
             } else {
               prev = std::move(redo);
             }
           }
-          if (!resolved) {
-            throw AbftFailure(
-                "ABFT: tile at (" + std::to_string(bm) + "," +
-                    std::to_string(bn) +
-                    ") failed its column checksum after " +
-                    std::to_string(attempts) +
-                    " fault-free recomputes (tolerance_scale=" +
-                    std::to_string(abft.tolerance_scale) + ")",
-                tile_row, tile_col, Route::kMicrokernel, attempts);
+          if (resolved ||
+              static_cast<int>(rung) >= static_cast<int>(policy.floor)) {
+            break;
           }
-        } else {
-          // Demotion ladder. Retries at each rung re-run the tile on
-          // the *primary* datapath forced to that route (transient
-          // faults clear on re-execution); the terminal scalar rung
-          // runs on the fault-free clone, whose deterministic result
-          // either passes the checksum or proves a false alarm - so
-          // the default ladder always terminates.
-          //
-          // Retry determinism: the primary injector's opportunity
-          // counters are shared across tiles, so retries through it
-          // would depend on thread interleaving. Each tile instead
-          // gets a private injector seeded from
-          // Rng(retry_seed ^ primary seed).split(tile) - a pure
-          // function of (seeds, tile index).
-          std::optional<fault::FaultInjector> retry_inj;
-          core::M3xuConfig retry_base = engine.config();
-          if (retry_base.injector != nullptr) {
-            retry_inj.emplace(Rng(policy.retry_seed ^
-                                  retry_base.injector->seed())
-                                  .split(static_cast<std::uint64_t>(t))
-                                  .seed(),
-                              retry_base.injector->rates());
-            retry_inj->stall_duration_ms =
-                retry_base.injector->stall_duration_ms;
-            retry_base.injector = &*retry_inj;
+          rung = static_cast<Route>(static_cast<int>(rung) + 1);
+          ++local.recovery.demotions;
+          ++local.recovery.demoted_to[static_cast<int>(rung)];
+          if (trace != nullptr) {
+            trace->event("recovery.demote", static_cast<long>(t),
+                         static_cast<long>(rung), route_name(rung));
           }
-          core::M3xuConfig retry_gen = retry_base;
-          retry_gen.force_generic = true;
-          const core::M3xuEngine retry_eng0(retry_base);
-          const core::M3xuEngine retry_eng1(retry_gen);
-          const auto retry_engine = [&](Route r) -> const core::M3xuEngine& {
-            return r == Route::kGenericPerDot ? retry_eng1 : retry_eng0;
-          };
-          bool false_alarm = false;
-          Route rung = start_route;
-          int total_attempts = 0;
-          for (;;) {
-            const bool scalar_clean = rung == Route::kScalarReference;
-            int attempts_here = std::max(1, policy.retries_per_route);
-            if (scalar_clean) attempts_here = std::max(2, attempts_here);
-            for (int attempt = 0; attempt < attempts_here && !resolved;
-                 ++attempt) {
-              std::vector<T> redo = c_in;
-              if (trace != nullptr) {
-                trace->event("recovery.retry", static_cast<long>(t),
-                             static_cast<long>(rung));
-              }
-              compute_tile(scalar_clean ? clean : retry_engine(rung), rung,
-                           redo, nullptr, /*allow_cache=*/false);
-              ++local.abft_recomputed;
-              ++local.recovery.retries;
-              ++total_attempts;
-              if (verify(redo)) {
-                c_frag = std::move(redo);
-                ++local.abft_recovered;
-                ++local.recovery.recovered_on[static_cast<int>(rung)];
-                resolved = true;
-                if (trace != nullptr) {
-                  trace->event("recovery.recovered", static_cast<long>(t),
-                               static_cast<long>(rung));
-                }
-              } else if (std::memcmp(redo.data(), prev.data(),
-                                     redo.size() * sizeof(T)) == 0) {
-                // Two identical results that both fail the checksum:
-                // tolerance artifact, not a fault. Keep the bits.
-                c_frag = std::move(redo);
-                ++local.abft_false_alarms;
-                resolved = true;
-                false_alarm = true;
-                if (trace != nullptr) {
-                  trace->event("abft.false_alarm", static_cast<long>(t),
-                               static_cast<long>(rung));
-                }
-              } else {
-                prev = std::move(redo);
-              }
-            }
-            if (resolved ||
-                static_cast<int>(rung) >= static_cast<int>(policy.floor)) {
-              break;
-            }
-            rung = static_cast<Route>(static_cast<int>(rung) + 1);
-            ++local.recovery.demotions;
-            ++local.recovery.demoted_to[static_cast<int>(rung)];
+        }
+        if (resolved && !false_alarm &&
+            static_cast<int>(rung) > static_cast<int>(start_route) &&
+            rails.quarantine != nullptr) {
+          if (rails.quarantine->demote(static_cast<long>(t), rung)) {
+            ++local.recovery.quarantined;
             if (trace != nullptr) {
-              trace->event("recovery.demote", static_cast<long>(t),
-                           static_cast<long>(rung), route_name(rung));
+              trace->event("recovery.quarantined", static_cast<long>(t),
+                           static_cast<long>(rung));
             }
           }
-          if (resolved && !false_alarm &&
-              static_cast<int>(rung) > static_cast<int>(start_route) &&
-              policy.quarantine != nullptr) {
-            if (policy.quarantine->demote(static_cast<long>(t), rung)) {
-              ++local.recovery.quarantined;
+        }
+        if (!resolved) {
+          switch (policy.terminal) {
+            case RecoveryPolicy::Terminal::kThrow:
               if (trace != nullptr) {
-                trace->event("recovery.quarantined", static_cast<long>(t),
+                trace->event("abft.unrecovered", static_cast<long>(t),
                              static_cast<long>(rung));
               }
-            }
-          }
-          if (!resolved) {
-            switch (policy.terminal) {
-              case RecoveryPolicy::Terminal::kThrow:
-                if (trace != nullptr) {
-                  trace->event("abft.unrecovered", static_cast<long>(t),
-                               static_cast<long>(rung));
-                }
-                throw AbftFailure(
-                    "ABFT: tile (" + std::to_string(tile_row) + "," +
-                        std::to_string(tile_col) +
-                        ") failed its column checksum after " +
-                        std::to_string(total_attempts) +
-                        " attempts down to route " +
-                        route_name(rung) + " (tolerance_scale=" +
-                        std::to_string(abft.tolerance_scale) + ")",
-                    tile_row, tile_col, rung, total_attempts);
-              case RecoveryPolicy::Terminal::kDegrade:
-                // Keep the last attempt's bits (already in prev /
-                // c_frag lineage) and carry on degraded.
-                ++local.recovery.degraded_tiles;
-                if (trace != nullptr) {
-                  trace->event("recovery.degraded_tile",
-                               static_cast<long>(t),
-                               static_cast<long>(rung));
-                }
-                break;
-              case RecoveryPolicy::Terminal::kPoison:
-                std::fill(c_frag.begin(), c_frag.end(), Traits::poison());
-                ++local.recovery.poisoned_tiles;
-                if (trace != nullptr) {
-                  trace->event("recovery.poisoned_tile",
-                               static_cast<long>(t),
-                               static_cast<long>(rung));
-                }
-                break;
+              throw AbftFailure(
+                  "ABFT: tile (" + std::to_string(tile_row) + "," +
+                      std::to_string(tile_col) +
+                      ") failed its column checksum after " +
+                      std::to_string(total_attempts) +
+                      " attempts down to route " +
+                      route_name(rung) + " (tolerance_scale=" +
+                      std::to_string(abft.tolerance_scale) + ")",
+                  tile_row, tile_col, rung, total_attempts);
+            case RecoveryPolicy::Terminal::kDegrade:
+              // Keep the last attempt's bits (already in prev /
+              // c_frag lineage) and carry on degraded.
+              ++local.recovery.degraded_tiles;
+              if (trace != nullptr) {
+                trace->event("recovery.degraded_tile",
+                             static_cast<long>(t),
+                             static_cast<long>(rung));
+              }
+              break;
+            case RecoveryPolicy::Terminal::kPoison:
+              std::fill(c_frag.begin(), c_frag.end(), Traits::poison());
+              ++local.recovery.poisoned_tiles;
+              if (trace != nullptr) {
+                trace->event("recovery.poisoned_tile",
+                             static_cast<long>(t),
+                             static_cast<long>(rung));
+              }
+              break;
             }
           }
         }
       }
-    }
 
     {
       const telemetry::ScopedTimer span("tile.epilogue",
@@ -767,15 +714,14 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
     stats.recovery.poisoned_tiles += rec.poisoned_tiles;
       },
       popts);
-  if (exec.trace != nullptr) {
-    exec.trace->event("exec.done", grid.tiles(),
+  if (rails.trace != nullptr) {
+    rails.trace->event("exec.done", grid.tiles(),
                       static_cast<long>(stats.abft_detected));
   }
   return stats;
 }
 
-/// Operand-shape validation shared by the public drivers and the
-/// compiled-dispatch execute path.
+/// Operand-shape validation on the compiled-dispatch execute path.
 template <typename T>
 void validate_shapes(const Matrix<T>& a, const Matrix<T>& b,
                      const Matrix<T>& c) {
@@ -784,64 +730,6 @@ void validate_shapes(const Matrix<T>& a, const Matrix<T>& b,
   M3XU_CHECK_MSG(a.rows() == c.rows() && b.cols() == c.cols(),
                  "tiled GEMM shape mismatch: C must be A.rows x B.cols");
 }
-
-/// Entry-point validation shared by the public drivers.
-template <typename T>
-void validate_entry(const TileConfig& cfg, int inst_k, const Matrix<T>& a,
-                    const Matrix<T>& b, const Matrix<T>& c) {
-  validate_tile_config(cfg, inst_k);
-  validate_shapes(a, b, c);
-}
-
-/// Fault-free clone of the caller's engine for ABFT recompute: same
-/// arithmetic configuration with the injector stripped (and any route
-/// forcing lifted, so the recompute runs the engine's natural route).
-core::M3xuConfig clean_config(const core::M3xuEngine& engine) {
-  core::M3xuConfig cfg = engine.config();
-  cfg.injector = nullptr;
-  return cfg;
-}
-
-/// The legacy overloads run with recovery demotion off, which
-/// reproduces the original clean-recompute-or-throw protocol exactly.
-RecoveryPolicy legacy_policy() {
-  RecoveryPolicy policy;
-  policy.demote = false;
-  return policy;
-}
-
-/// Stack-owned engine set + dispatch for the ad-hoc entry points: the
-/// same clones a GemmPlan would freeze, built per call (the historical
-/// behavior). Keeping the ad-hoc path on the exact same run_tiled core
-/// as the plan path is what makes plan-vs-ad-hoc bit-identity hold by
-/// construction.
-struct AdHocDispatch {
-  AdHocDispatch(const core::M3xuEngine& engine, const TileConfig& config,
-                const AbftConfig& abft, const RecoveryPolicy& policy,
-                core::MxuMode mode)
-      : clean(clean_config(engine)) {
-    if (policy.demote) {
-      core::M3xuConfig c_gen = engine.config();
-      c_gen.force_generic = true;
-      generic.emplace(c_gen);
-    }
-    const core::MmaShape shape = core::shape_for(mode);
-    dispatch.tile = config;
-    dispatch.abft = abft;
-    dispatch.policy = policy;
-    dispatch.inst_m = shape.m;
-    dispatch.inst_n = shape.n;
-    dispatch.inst_k = shape.k;
-    dispatch.eps_chunk = eps_per_chunk(engine.config().accum_prec);
-    dispatch.engine = &engine;
-    dispatch.clean = &clean;
-    dispatch.route_generic = generic.has_value() ? &*generic : nullptr;
-  }
-
-  core::M3xuEngine clean;
-  std::optional<core::M3xuEngine> generic;
-  CompiledDispatch dispatch;
-};
 
 }  // namespace
 
@@ -855,116 +743,64 @@ void validate_tile_config(const TileConfig& config, int inst_k) {
                  "instruction K so chunk rounding boundaries line up");
 }
 
+void validate_abft_config(const AbftConfig& abft) {
+  M3XU_CHECK_MSG(std::isfinite(abft.tolerance_scale) &&
+                     abft.tolerance_scale >= 0.0,
+                 "AbftConfig.tolerance_scale must be finite and >= 0 (a NaN "
+                 "tolerance never trips the guard, a negative one trips it "
+                 "on every tile)");
+}
+
 /// Catch nonsensical resilience-knob combinations at the API boundary
-/// with a clear message instead of downstream misbehavior (negative
-/// retries silently becoming one attempt, a stall watchdog with no
-/// deadline backstop, an out-of-range demotion floor).
+/// with a clear message instead of downstream misbehavior (a ladder
+/// that can make no attempt at all, a stall watchdog with no deadline
+/// backstop, an out-of-range demotion floor).
 void validate_resilience_config(const RecoveryPolicy& policy,
-                                const ExecConfig& exec) {
+                                const ExecRails& rails) {
   M3XU_CHECK_MSG(policy.retries_per_route >= 0,
                  "RecoveryPolicy.retries_per_route must be >= 0");
   M3XU_CHECK_MSG(static_cast<int>(policy.floor) >= 0 &&
                      static_cast<int>(policy.floor) < kRouteCount,
                  "RecoveryPolicy.floor must be a valid Route rung "
                  "(kMicrokernel..kScalarReference)");
-  M3XU_CHECK_MSG(exec.deadline_ms >= 0,
-                 "ExecConfig.deadline_ms must be >= 0 (0 disables the "
+  M3XU_CHECK_MSG(policy.retries_per_route > 0 ||
+                     policy.floor != Route::kMicrokernel,
+                 "RecoveryPolicy.retries_per_route == 0 skips the "
+                 "microkernel rung, so floor == kMicrokernel would leave "
+                 "the ladder no attempt at all");
+  M3XU_CHECK_MSG(rails.deadline_ms >= 0,
+                 "ExecRails.deadline_ms must be >= 0 (0 disables the "
                  "deadline watchdog)");
-  M3XU_CHECK_MSG(exec.stall_ms >= 0,
-                 "ExecConfig.stall_ms must be >= 0 (0 disables stall "
+  M3XU_CHECK_MSG(rails.stall_ms >= 0,
+                 "ExecRails.stall_ms must be >= 0 (0 disables stall "
                  "detection)");
-  M3XU_CHECK_MSG(exec.stall_ms == 0 || exec.deadline_ms > 0,
-                 "ExecConfig.stall_ms requires a nonzero deadline_ms: stall "
+  M3XU_CHECK_MSG(rails.stall_ms == 0 || rails.deadline_ms > 0,
+                 "ExecRails.stall_ms requires a nonzero deadline_ms: stall "
                  "detection without a wall-deadline backstop can absorb an "
                  "arbitrarily slow trickle of progress");
-  M3XU_CHECK_MSG(exec.b_cache == nullptr || exec.b_key != 0,
-                 "ExecConfig.b_cache requires a nonzero b_key identifying "
+  M3XU_CHECK_MSG(rails.b_cache == nullptr || rails.b_key != 0,
+                 "ExecRails.b_cache requires a nonzero b_key identifying "
                  "the B matrix contents");
 }
 
 TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec, const Matrix<float>& a,
+                             const ExecRails& rails, const Matrix<float>& a,
                              const Matrix<float>& b, Matrix<float>& c) {
   M3XU_CHECK_MSG(dispatch.engine != nullptr && dispatch.clean != nullptr,
                  "CompiledDispatch must carry primary and clean engines");
-  M3XU_CHECK_MSG(!dispatch.policy.demote || dispatch.route_generic != nullptr,
-                 "CompiledDispatch with a demotion ladder must carry the "
-                 "route-forced engine clone");
   validate_shapes(a, b, c);
-  return run_tiled<float>(dispatch, exec, a, b, c);
+  return run_tiled<float>(dispatch, rails, a, b, c);
 }
 
 TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec,
+                             const ExecRails& rails,
                              const Matrix<std::complex<float>>& a,
                              const Matrix<std::complex<float>>& b,
                              Matrix<std::complex<float>>& c) {
   M3XU_CHECK_MSG(dispatch.engine != nullptr && dispatch.clean != nullptr,
                  "CompiledDispatch must carry primary and clean engines");
-  M3XU_CHECK_MSG(!dispatch.policy.demote || dispatch.route_generic != nullptr,
-                 "CompiledDispatch with a demotion ladder must carry the "
-                 "route-forced engine clone");
   validate_shapes(a, b, c);
-  return run_tiled<std::complex<float>>(dispatch, exec, a, b, c);
-}
-
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const Matrix<float>& a,
-                           const Matrix<float>& b, Matrix<float>& c) {
-  return tiled_sgemm(engine, config, AbftConfig{}, a, b, c);
-}
-
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const Matrix<float>& a, const Matrix<float>& b,
-                           Matrix<float>& c) {
-  return tiled_sgemm(engine, config, abft, legacy_policy(), ExecConfig{}, a,
-                     b, c);
-}
-
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const RecoveryPolicy& policy,
-                           const ExecConfig& exec, const Matrix<float>& a,
-                           const Matrix<float>& b, Matrix<float>& c) {
-  const core::MmaShape shape = core::shape_for(core::MxuMode::kFp32);
-  validate_entry(config, shape.k, a, b, c);
-  validate_resilience_config(policy, exec);
-  const AdHocDispatch ad(engine, config, abft, policy,
-                         core::MxuMode::kFp32);
-  return run_tiled<float>(ad.dispatch, exec, a, b, c);
-}
-
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c) {
-  return tiled_cgemm(engine, config, AbftConfig{}, a, b, c);
-}
-
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c) {
-  return tiled_cgemm(engine, config, abft, legacy_policy(), ExecConfig{}, a,
-                     b, c);
-}
-
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const RecoveryPolicy& policy,
-                           const ExecConfig& exec,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c) {
-  const core::MmaShape shape = core::shape_for(core::MxuMode::kFp32Complex);
-  validate_entry(config, shape.k, a, b, c);
-  validate_resilience_config(policy, exec);
-  const AdHocDispatch ad(engine, config, abft, policy,
-                         core::MxuMode::kFp32Complex);
-  return run_tiled<std::complex<float>>(ad.dispatch, exec, a, b, c);
+  return run_tiled<std::complex<float>>(dispatch, rails, a, b, c);
 }
 
 double abft_column_tolerance(const core::M3xuEngine& engine,

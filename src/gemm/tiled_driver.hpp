@@ -10,11 +10,16 @@
 // The driver can additionally run ABFT-guarded (algorithm-based fault
 // tolerance): per threadblock tile it maintains column-checksum
 // vectors in double precision, verifies the tile's output against a
-// mode-aware ULP tolerance after the mainloop, and on mismatch
-// recomputes the tile fault-free (bounded retries, then a structured
-// AbftFailure instead of an abort). With AbftConfig.enable == false
-// (the default) the driver is byte-for-byte the unguarded seed path.
-// See docs/FAULT_INJECTION.md for the tolerance derivation.
+// mode-aware ULP tolerance after the mainloop, and on mismatch hands
+// the tile to the RecoveryPolicy's retry-then-demote ladder
+// (gemm/recovery.hpp), ending in a structured AbftFailure or another
+// terminal outcome instead of an abort. With AbftConfig.enable == false
+// (the default) the driver is byte-for-byte the unguarded path. See
+// docs/FAULT_INJECTION.md for the tolerance derivation.
+//
+// The one way in is GemmPlan (gemm/plan.hpp): compile validates the
+// configs and freezes a CompiledDispatch, and execute runs it through
+// tiled_execute.
 #pragma once
 
 #include <complex>
@@ -56,14 +61,11 @@ struct AbftConfig {
   /// covers the bound with 2x headroom; raise it to trade detection
   /// sensitivity for fewer false alarms on adversarial inputs.
   double tolerance_scale = 1.0;
-  /// Fault-free recompute attempts per detected tile before the driver
-  /// gives up with AbftFailure.
-  int max_recompute = 2;
 };
 
-/// Thrown when a tile keeps failing its checksum after the recovery
-/// protocol is exhausted (legacy recomputes, or the full demotion
-/// ladder under a RecoveryPolicy with Terminal::kThrow). Carries the
+/// Thrown when a tile keeps failing its checksum after the demotion
+/// ladder is exhausted under a RecoveryPolicy with Terminal::kThrow.
+/// Carries the
 /// tile's grid coordinates, the last route attempted, and the total
 /// recompute attempts, so recovery reports and logs are actionable.
 class AbftFailure : public std::runtime_error {
@@ -116,67 +118,17 @@ struct TiledGemmStats {
   long abft_recovered = 0;     // tiles recovered by a passing recompute
   long abft_false_alarms = 0;  // deterministic reproduction => tolerance
                                // artifact, original result kept
-  // What the recovery ladder did (all zero in legacy mode and on clean
-  // runs). See gemm/recovery.hpp.
+  // What the recovery ladder did (all zero on clean runs). See
+  // gemm/recovery.hpp.
   RecoveryReport recovery;
 };
-
-/// C <- A*B + C through the tile hierarchy on the M3XU FP32 mode.
-/// Threadblock tiles are distributed over the global thread pool.
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const Matrix<float>& a,
-                           const Matrix<float>& b, Matrix<float>& c);
-
-/// ABFT-guarded variant. With abft.enable the per-tile checksums are
-/// verified and failing tiles are recomputed on a fault-free clone of
-/// the engine (same arithmetic config, injector stripped).
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const Matrix<float>& a, const Matrix<float>& b,
-                           Matrix<float>& c);
-
-/// Complex variant on the FP32C mode.
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c);
-
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c);
-
-/// Resilient variants: ABFT detection feeds the RecoveryPolicy's
-/// retry-then-demote ladder (gemm/recovery.hpp) instead of the legacy
-/// clean-recompute-or-throw protocol, and the ExecConfig threads a
-/// cooperative CancellationToken plus the ThreadPool watchdog through
-/// the tile loop. With the default policy every transient fault
-/// recovers bit-exactly (the terminal scalar rung runs fault-free);
-/// stats.recovery reports what the ladder did.
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const RecoveryPolicy& policy,
-                           const ExecConfig& exec, const Matrix<float>& a,
-                           const Matrix<float>& b, Matrix<float>& c);
-
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const RecoveryPolicy& policy,
-                           const ExecConfig& exec,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c);
 
 /// Per-call-invariant state the compile-then-execute plan layer
 /// (gemm/plan.hpp) freezes once: validated configs, the mode's MMA
 /// instruction shape, the rounding bound per K-chunk, and the engine
-/// set the driver otherwise re-derives and re-constructs on every call
-/// (fault-free clone for ABFT recompute, route-forced clone for
-/// quarantined tiles' initial passes). All engine pointers are
-/// non-owning; the owner (GemmPlan, or a stack frame in the ad-hoc
-/// entries) must keep them alive across the execute call.
+/// set (primary plus the fault-free clone the terminal scalar rung
+/// runs on). Both engine pointers are non-owning; the owning GemmPlan
+/// keeps them alive across the execute call.
 struct CompiledDispatch {
   TileConfig tile;
   AbftConfig abft;
@@ -187,12 +139,8 @@ struct CompiledDispatch {
   double eps_chunk = 0.0;
   /// Primary datapath (may carry a fault injector).
   const core::M3xuEngine* engine = nullptr;
-  /// Fault-free clone: ABFT recompute and the terminal scalar rung.
+  /// Fault-free clone: the terminal scalar rung.
   const core::M3xuEngine* clean = nullptr;
-  /// Route-forced clone for quarantined tiles' initial passes on the
-  /// generic rung; must be non-null when policy.demote is true, ignored
-  /// otherwise.
-  const core::M3xuEngine* route_generic = nullptr;
 };
 
 /// Worst-case relative rounding error one K-chunk contributes to an
@@ -202,30 +150,33 @@ struct CompiledDispatch {
 /// plan layer freezes this into CompiledDispatch.eps_chunk at compile.
 double eps_per_chunk(int accum_prec);
 
-/// Config-only validation shared by the ad-hoc entries and plan
-/// compile: tile shape sanity (via TileConfig::valid()) and the
-/// K-chunk alignment that keeps the hierarchy bit-identical to the
-/// flat loop. Fails through M3XU_CHECK_MSG.
+/// Config-only validation at plan compile: tile shape sanity (via
+/// TileConfig::valid()) and the K-chunk alignment that keeps the
+/// hierarchy bit-identical to the flat loop. Fails through
+/// M3XU_CHECK_MSG.
 void validate_tile_config(const TileConfig& config, int inst_k);
 
-/// Resilience-knob validation shared by the policy-taking entries and
-/// plan compile (see tiled_driver.cpp for the rationale per check).
+/// Rejects a non-finite or negative tolerance_scale: a NaN tolerance
+/// never trips the guard and a negative one trips it on every tile.
+/// 0.0 stays valid (it forces detection). Fails through M3XU_CHECK_MSG.
+void validate_abft_config(const AbftConfig& abft);
+
+/// Resilience-knob validation at plan compile (against empty rails)
+/// and per execute (see tiled_driver.cpp for the rationale per check).
 void validate_resilience_config(const RecoveryPolicy& policy,
-                                const ExecConfig& exec);
+                                const ExecRails& rails);
 
 /// Executes one GEMM through a pre-compiled dispatch with zero
 /// per-call re-derivation: no config validation beyond the operand
 /// shape check, no engine clone construction, no eps/instruction-shape
-/// lookups. Bit-identical to the ad-hoc tiled_sgemm/tiled_cgemm with
-/// the same configs by construction (same run_tiled core). The
-/// ExecConfig carries the per-execute guard rails (token, deadline,
-/// B-panel cache).
+/// lookups. The ExecRails carry the per-execute guard rails (token,
+/// deadline, quarantine, B-panel cache).
 TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec, const Matrix<float>& a,
+                             const ExecRails& rails, const Matrix<float>& a,
                              const Matrix<float>& b, Matrix<float>& c);
 
 TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec,
+                             const ExecRails& rails,
                              const Matrix<std::complex<float>>& a,
                              const Matrix<std::complex<float>>& b,
                              Matrix<std::complex<float>>& c);

@@ -367,10 +367,7 @@ void GemmServer::run_attempts(const RequestHandle& req, gemm::Matrix<T>& a,
       (a.rows() + config_.tile.block_m - 1) / config_.tile.block_m;
   const long grid_n =
       (b.cols() + config_.tile.block_n - 1) / config_.tile.block_n;
-  if (config_.recovery.demote) {
-    rails.quarantine =
-        &tenant_quarantine(req->options_.tenant, grid_m, grid_n);
-  }
+  rails.quarantine = &tenant_quarantine(req->options_.tenant, grid_m, grid_n);
   if (req->options_.b_key != 0) {
     rails.b_cache = &cache_;
     rails.b_key = req->options_.b_key;

@@ -5,7 +5,7 @@
 // queue applies admission control (reject-new or evict-lowest-priority
 // - either way the loser terminates as kShed, never a silent drop);
 // executor threads pop requests and run them on the shared ThreadPool
-// through tiled_sgemm/tiled_cgemm with the full resilience stack:
+// through per-tenant GemmPlans with the full resilience stack:
 //
 //   - per-request deadline propagated end-to-end: a CancelTimer latches
 //     the request's CancellationToken (reason kDeadline) and the pool
@@ -72,8 +72,8 @@ struct ServerConfig {
   gemm::TileConfig tile;
   /// ABFT guard for every request (serving typically enables it).
   gemm::AbftConfig abft;
-  /// Recovery ladder template. The quarantine field is ignored: the
-  /// server substitutes the per-tenant quarantine for each request.
+  /// Recovery ladder for every request; each request's ExecRails carry
+  /// its tenant's quarantine.
   gemm::RecoveryPolicy recovery;
   /// LRU capacity of each tenant's per-grid TileQuarantine.
   std::size_t quarantine_tiles_per_tenant =

@@ -2,7 +2,7 @@
 // identity (process-unique request id + tenant + label) and a bounded,
 // causally-ordered event log from admission to terminal resolution.
 // The serving layer creates one per request and threads a pointer down
-// through ExecRails -> ExecConfig into the tiled driver and recovery
+// through ExecRails into the tiled driver and recovery
 // ladder; layers without a rails pointer (the core route dispatch)
 // reach the active context through a thread-local scope installed by
 // the driver around each tile.

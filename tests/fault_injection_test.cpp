@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -14,7 +15,7 @@
 #include "fp/unpacked.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/reference.hpp"
-#include "gemm/tiled_driver.hpp"
+#include "plan_gemm.hpp"
 
 namespace m3xu::fault {
 namespace {
@@ -110,13 +111,13 @@ Problem make(int m, int n, int k, std::uint64_t seed) {
 TEST(AbftProperty, FlipDetectedOrBelowTolerance) {
   constexpr int m = 32, n = 32, k = 64;
   const gemm::TileConfig tile{32, 32, 32, 16, 16};
-  const gemm::AbftConfig abft{true, 1.0, 2};
+  const gemm::AbftConfig abft{true, 1.0};
   const core::M3xuEngine clean;
   int injected_trials = 0, detected_trials = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const Problem p = make(m, n, k, 9000 + trial);
     gemm::Matrix<float> ref = p.c;
-    gemm::tiled_sgemm(clean, tile, p.a, p.b, ref);
+    gemm::plan_gemm(clean, tile, p.a, p.b, ref);
     const Site site = static_cast<Site>(trial % kSiteCount);
     const std::uint64_t seed = 777 + trial;
     // Low rate: typically a handful of flips per run (a 32x32x64 run
@@ -128,7 +129,7 @@ TEST(AbftProperty, FlipDetectedOrBelowTolerance) {
     cfg.injector = &raw_inj;
     const core::M3xuEngine faulty(cfg);
     gemm::Matrix<float> raw = p.c;
-    gemm::tiled_sgemm(faulty, tile, p.a, p.b, raw);
+    gemm::plan_gemm(faulty, tile, p.a, p.b, raw);
     if (raw_inj.total_injected() == 0) continue;
     ++injected_trials;
 
@@ -138,7 +139,7 @@ TEST(AbftProperty, FlipDetectedOrBelowTolerance) {
     const core::M3xuEngine guarded(gcfg);
     gemm::Matrix<float> fixed = p.c;
     const gemm::TiledGemmStats stats =
-        gemm::tiled_sgemm(guarded, tile, abft, p.a, p.b, fixed);
+        gemm::plan_gemm(guarded, tile, p.a, p.b, fixed, abft);
     // The guarded pass replays the identical flips.
     EXPECT_EQ(guard_inj.log(), raw_inj.log());
     detected_trials += stats.abft_detected > 0 ? 1 : 0;
@@ -177,7 +178,7 @@ TEST(Abft, RecoversFromHeavyInjection) {
   const gemm::TileConfig tile{48, 48, 32, 16, 16};
   const core::M3xuEngine clean;
   gemm::Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(clean, tile, p.a, p.b, ref);
+  gemm::plan_gemm(clean, tile, p.a, p.b, ref);
 
   const FaultInjector inj(21, SiteRates::uniform(1e-4));
   core::M3xuConfig cfg;
@@ -185,8 +186,7 @@ TEST(Abft, RecoversFromHeavyInjection) {
   const core::M3xuEngine faulty(cfg);
   gemm::Matrix<float> c = p.c;
   const gemm::TiledGemmStats stats =
-      gemm::tiled_sgemm(faulty, tile, gemm::AbftConfig{true, 1.0, 2}, p.a,
-                        p.b, c);
+      gemm::plan_gemm(faulty, tile, p.a, p.b, c, gemm::AbftConfig{true, 1.0});
   ASSERT_GT(inj.total_injected(), 0u);
   ASSERT_GT(stats.abft_detected, 0);
   EXPECT_EQ(stats.abft_recovered, stats.abft_detected);
@@ -197,33 +197,18 @@ TEST(Abft, RecoversFromHeavyInjection) {
   }
 }
 
-TEST(Abft, ZeroToleranceWithFaultsExhaustsRetries) {
-  // tolerance_scale = 0 makes even legitimate rounding trip the check;
-  // with live injection and a single recompute the driver cannot settle
-  // and must surface the structured error (not abort).
-  const Problem p = make(32, 32, 32, 3222);
-  const gemm::TileConfig tile{32, 32, 32, 16, 16};
-  const FaultInjector inj(3, SiteRates::only(Site::kOperandA, 1.0));
-  core::M3xuConfig cfg;
-  cfg.injector = &inj;
-  const core::M3xuEngine faulty(cfg);
-  gemm::Matrix<float> c = p.c;
-  EXPECT_THROW(gemm::tiled_sgemm(faulty, tile, gemm::AbftConfig{true, 0.0, 1},
-                                 p.a, p.b, c),
-               gemm::AbftFailure);
-}
-
 TEST(Abft, ZeroToleranceCleanEngineIsFalseAlarm) {
+  // tolerance_scale = 0 makes even legitimate rounding trip the check.
   // With a fault-free engine the recompute reproduces the same bits,
   // which the driver classifies as a tolerance artifact and accepts.
   const Problem p = make(32, 32, 32, 3333);
   const gemm::TileConfig tile{32, 32, 32, 16, 16};
   const core::M3xuEngine clean;
   gemm::Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(clean, tile, p.a, p.b, ref);
+  gemm::plan_gemm(clean, tile, p.a, p.b, ref);
   gemm::Matrix<float> c = p.c;
-  const gemm::TiledGemmStats stats = gemm::tiled_sgemm(
-      clean, tile, gemm::AbftConfig{true, 0.0, 2}, p.a, p.b, c);
+  const gemm::TiledGemmStats stats = gemm::plan_gemm(
+      clean, tile, p.a, p.b, c, gemm::AbftConfig{true, 0.0});
   EXPECT_GT(stats.abft_detected, 0);
   EXPECT_GT(stats.abft_false_alarms, 0);
   EXPECT_EQ(stats.abft_recovered, 0);
@@ -285,6 +270,18 @@ TEST(Campaign, RejectsMultiTileGeometry) {
                   // scheduling order
   const ScopedCheckHandler guard(&throwing_check_failure_handler);
   EXPECT_THROW(run_campaign(config), CheckError);
+}
+
+TEST(Campaign, RejectsNonFiniteOrNegativeToleranceScale) {
+  // A NaN tolerance never trips the guard (every trial would read as
+  // undetected-but-clean) and a negative one trips it on every tile.
+  const ScopedCheckHandler guard(&throwing_check_failure_handler);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    CampaignConfig config = small_campaign();
+    config.abft.tolerance_scale = bad;
+    EXPECT_THROW(run_campaign(config), CheckError) << bad;
+  }
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Tests for the compile-then-execute GemmPlan layer: bit-identity with
-// the ad-hoc resilient driver on every route rung and both dtypes,
+// the flat engine loop on every route rung and both dtypes,
 // prepacked B-panel reuse (hits across executes, fingerprint-guarded
 // refresh on a B change), per-execute rails, and operand validation.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/bits.hpp"
@@ -13,7 +14,6 @@
 #include "common/rng.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/plan.hpp"
-#include "gemm/tiled_driver.hpp"
 
 namespace m3xu::gemm {
 namespace {
@@ -39,61 +39,71 @@ bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
-/// Engine configs pinning each initial route rung: the default
-/// (microkernel) and the generic per-dot rung.
-std::vector<std::pair<const char*, core::M3xuConfig>> route_configs() {
-  std::vector<std::pair<const char*, core::M3xuConfig>> out;
-  out.emplace_back("microkernel", core::M3xuConfig{});
+/// The flat engine loop: the reference every tiled execute must match
+/// bitwise (the driver keeps its K-chunk rounding boundaries).
+void flat_gemm(const core::M3xuEngine& engine, const Matrix<float>& a,
+               const Matrix<float>& b, Matrix<float>& c) {
+  engine.gemm_fp32(a.rows(), b.cols(), a.cols(), a.data(), a.ld(), b.data(),
+                   b.ld(), c.data(), c.ld());
+}
+
+void flat_gemm(const core::M3xuEngine& engine,
+               const Matrix<std::complex<float>>& a,
+               const Matrix<std::complex<float>>& b,
+               Matrix<std::complex<float>>& c) {
+  engine.gemm_fp32c(a.rows(), b.cols(), a.cols(), a.data(), a.ld(),
+                    b.data(), b.ld(), c.data(), c.ld());
+}
+
+/// Executes one ABFT-guarded plan on both ladder rungs - the
+/// microkernel rung (a plain execute) and the scalar rung (every tile
+/// quarantined there) - for the default engine and a force_generic
+/// one, and checks each result bitwise against the flat engine loop.
+template <typename T>
+void expect_every_rung_matches_flat(const Problem<T>& p, bool cplx) {
+  const TileConfig tile{64, 64, 16, 32, 32};
+  const long tiles =
+      static_cast<long>((p.c.rows() + tile.block_m - 1) / tile.block_m) *
+      ((p.c.cols() + tile.block_n - 1) / tile.block_n);
   core::M3xuConfig generic;
   generic.force_generic = true;
-  out.emplace_back("generic", generic);
-  return out;
-}
-
-TEST(GemmPlan, SgemmBitIdenticalToAdHocOnEveryRoute) {
-  const TileConfig tile{64, 64, 16, 32, 32};
-  const AbftConfig abft{true};
-  const RecoveryPolicy policy;
-  const Problem<float> p = make<float>(100, 90, 130, 601);
-  for (const auto& [name, cfg] : route_configs()) {
-    const core::M3xuEngine engine(cfg);
-    Matrix<float> ad_hoc = p.c;
-    tiled_sgemm(engine, tile, abft, policy, ExecConfig{}, p.a, p.b, ad_hoc);
+  for (const core::M3xuConfig& cfg : {core::M3xuConfig{}, generic}) {
+    SCOPED_TRACE(cfg.force_generic ? "force_generic" : "default");
+    Matrix<T> ref = p.c;
+    flat_gemm(core::M3xuEngine(cfg), p.a, p.b, ref);
 
     PlanOptions options;
     options.tile = tile;
-    options.abft = abft;
-    options.policy = policy;
-    const GemmPlan plan = GemmPlan::compile(cfg, {100, 90, 130, false},
-                                            options);
-    Matrix<float> planned = p.c;
-    plan.execute(p.a, p.b, planned);
-    EXPECT_TRUE(bits_equal(planned, ad_hoc)) << "route " << name;
-    EXPECT_EQ(plan.executions(), 1u);
+    options.abft.enable = true;
+    const GemmPlan plan = GemmPlan::compile(
+        cfg, {p.a.rows(), p.b.cols(), p.a.cols(), cplx}, options);
+    Matrix<T> top = p.c;
+    const TiledGemmStats top_stats = plan.execute(p.a, p.b, top);
+    EXPECT_TRUE(bits_equal(top, ref)) << "microkernel rung";
+    EXPECT_EQ(top_stats.recovery.quarantine_hits, 0);
+
+    TileQuarantine quarantine;
+    for (long t = 0; t < tiles; ++t) {
+      quarantine.demote(t, Route::kScalarReference);
+    }
+    ExecRails rails;
+    rails.quarantine = &quarantine;
+    Matrix<T> bottom = p.c;
+    const TiledGemmStats bottom_stats = plan.execute(p.a, p.b, bottom, rails);
+    EXPECT_TRUE(bits_equal(bottom, ref)) << "scalar rung";
+    EXPECT_EQ(bottom_stats.recovery.quarantine_hits, tiles);
+    EXPECT_EQ(bottom_stats.abft_detected, 0);
+    EXPECT_EQ(plan.executions(), 2u);
   }
 }
 
-TEST(GemmPlan, CgemmBitIdenticalToAdHocOnEveryRoute) {
+TEST(GemmPlan, SgemmBitIdenticalToFlatLoopOnEveryRung) {
+  expect_every_rung_matches_flat(make<float>(100, 90, 130, 601), false);
+}
+
+TEST(GemmPlan, CgemmBitIdenticalToFlatLoopOnEveryRung) {
   using C = std::complex<float>;
-  const TileConfig tile{64, 64, 16, 32, 32};
-  const AbftConfig abft{true};
-  const RecoveryPolicy policy;
-  const Problem<C> p = make<C>(60, 52, 68, 602);
-  for (const auto& [name, cfg] : route_configs()) {
-    const core::M3xuEngine engine(cfg);
-    Matrix<C> ad_hoc = p.c;
-    tiled_cgemm(engine, tile, abft, policy, ExecConfig{}, p.a, p.b, ad_hoc);
-
-    PlanOptions options;
-    options.tile = tile;
-    options.abft = abft;
-    options.policy = policy;
-    const GemmPlan plan =
-        GemmPlan::compile(cfg, {60, 52, 68, true}, options);
-    Matrix<C> planned = p.c;
-    plan.execute(p.a, p.b, planned);
-    EXPECT_TRUE(bits_equal(planned, ad_hoc)) << "route " << name;
-  }
+  expect_every_rung_matches_flat(make<C>(60, 52, 68, 602), true);
 }
 
 TEST(GemmPlan, RepeatExecutesServePanelsFromPlanStore) {
@@ -126,12 +136,10 @@ TEST(GemmPlan, DifferentBRefreshesStoreAndStaysCorrect) {
   plan.execute(p.a, b2, c2);  // new B bytes: fingerprint must not match
   EXPECT_EQ(plan.panel_stats().refreshes, 1u);
 
-  // The second result must equal the ad-hoc driver on (a, b2) - a
-  // stale panel from the first B would corrupt it.
-  const core::M3xuEngine engine;
+  // The second result must equal the flat loop on (a, b2) - a stale
+  // panel from the first B would corrupt it.
   Matrix<float> ref = p.c;
-  tiled_sgemm(engine, TileConfig{}, AbftConfig{}, RecoveryPolicy{},
-              ExecConfig{}, p.a, b2, ref);
+  flat_gemm(core::M3xuEngine{}, p.a, b2, ref);
   EXPECT_TRUE(bits_equal(c2, ref));
 }
 
@@ -145,10 +153,8 @@ TEST(GemmPlan, PrepackMakesFirstExecuteAllHits) {
   EXPECT_EQ(stats.misses, 0u) << "prepacked panels must cover every tile";
   EXPECT_GT(stats.hits, 0u);
 
-  const core::M3xuEngine engine;
   Matrix<float> ref = p.c;
-  tiled_sgemm(engine, TileConfig{}, AbftConfig{}, RecoveryPolicy{},
-              ExecConfig{}, p.a, p.b, ref);
+  flat_gemm(core::M3xuEngine{}, p.a, p.b, ref);
   EXPECT_TRUE(bits_equal(c, ref));
 }
 
@@ -161,10 +167,8 @@ TEST(GemmPlan, CgemmPrepackServesComplexPanels) {
   plan.execute(p.a, p.b, c);
   EXPECT_EQ(plan.panel_stats().misses, 0u);
 
-  const core::M3xuEngine engine;
   Matrix<C> ref = p.c;
-  tiled_cgemm(engine, TileConfig{}, AbftConfig{}, RecoveryPolicy{},
-              ExecConfig{}, p.a, p.b, ref);
+  flat_gemm(core::M3xuEngine{}, p.a, p.b, ref);
   EXPECT_TRUE(bits_equal(c, ref));
 }
 
@@ -207,6 +211,25 @@ TEST(GemmPlan, CompileRejectsInvalidTile) {
   EXPECT_THROW(
       GemmPlan::compile(core::M3xuConfig{}, {64, 64, 64}, options),
       CheckError);
+}
+
+TEST(GemmPlan, CompileRejectsNonFiniteOrNegativeToleranceScale) {
+  const ScopedCheckHandler guard(&throwing_check_failure_handler);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    PlanOptions options;
+    options.abft.enable = true;
+    options.abft.tolerance_scale = bad;
+    EXPECT_THROW(
+        GemmPlan::compile(core::M3xuConfig{}, {64, 64, 64}, options),
+        CheckError)
+        << bad;
+  }
+  // 0 stays valid: it forces every tile through detection.
+  PlanOptions zero;
+  zero.abft.enable = true;
+  zero.abft.tolerance_scale = 0.0;
+  EXPECT_NO_THROW(GemmPlan::compile(core::M3xuConfig{}, {64, 64, 64}, zero));
 }
 
 TEST(GemmPlan, LabelNamesShapeAndDtype) {

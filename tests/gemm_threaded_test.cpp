@@ -1,8 +1,8 @@
 // Threaded tiled-driver determinism: partitioning the tile grid over a
 // ThreadPool is a throughput lever only. For every route rung and both
 // dtypes, the result must be bit-identical whatever pool the caller
-// supplies (1, 2, or 8 threads via ExecConfig::pool / ExecRails::pool,
-// or the process-global pool), identical across repeated runs on the
+// supplies (1, 2, or 8 threads via ExecRails::pool, or the
+// process-global pool), identical across repeated runs on the
 // same pool (no schedule-dependent accumulation order), and identical
 // with the ABFT guard on. Runs under `ctest -L tsan` in the
 // M3XU_SANITIZE=thread CI job, where the per-thread staging scratch
@@ -18,7 +18,7 @@
 #include "common/thread_pool.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/plan.hpp"
-#include "gemm/tiled_driver.hpp"
+#include "plan_gemm.hpp"
 
 namespace m3xu::gemm {
 namespace {
@@ -60,16 +60,12 @@ const TileConfig kTile{64, 64, 16, 32, 32};
 constexpr int kPoolSizes[] = {1, 2, 8};
 
 template <typename T>
-void run_adhoc(const core::M3xuEngine& engine, const AbftConfig& abft,
-               ThreadPool* pool, const Problem<T>& p, Matrix<T>& c) {
-  ExecConfig exec;
-  exec.pool = pool;
+void run_on_pool(const core::M3xuEngine& engine, const AbftConfig& abft,
+                 ThreadPool* pool, const Problem<T>& p, Matrix<T>& c) {
+  ExecRails rails;
+  rails.pool = pool;
   c = p.c;
-  if constexpr (std::is_same_v<T, float>) {
-    tiled_sgemm(engine, kTile, abft, RecoveryPolicy{}, exec, p.a, p.b, c);
-  } else {
-    tiled_cgemm(engine, kTile, abft, RecoveryPolicy{}, exec, p.a, p.b, c);
-  }
+  plan_gemm(engine, kTile, p.a, p.b, c, abft, RecoveryPolicy{}, rails);
 }
 
 template <typename T>
@@ -80,17 +76,17 @@ void expect_pool_invariance(const char* route, const core::M3xuConfig& cfg,
 
   // Reference: the global pool (whatever size the host gave it).
   Matrix<T> ref(p.c.rows(), p.c.cols());
-  run_adhoc(engine, abft, nullptr, p, ref);
+  run_on_pool(engine, abft, nullptr, p, ref);
 
   for (const int threads : kPoolSizes) {
     SCOPED_TRACE(threads);
     ThreadPool pool(static_cast<std::size_t>(threads));
     Matrix<T> c1(p.c.rows(), p.c.cols());
     Matrix<T> c2(p.c.rows(), p.c.cols());
-    run_adhoc(engine, abft, &pool, p, c1);
+    run_on_pool(engine, abft, &pool, p, c1);
     // Second run on the same (already warm) pool: chunk claiming order
     // differs run to run; the bits must not.
-    run_adhoc(engine, abft, &pool, p, c2);
+    run_on_pool(engine, abft, &pool, p, c2);
     EXPECT_TRUE(bits_equal(c1, ref)) << "pool size " << threads;
     EXPECT_TRUE(bits_equal(c1, c2)) << "repeat on pool size " << threads;
   }

@@ -11,7 +11,8 @@
 #include "fault/injector.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/reference.hpp"
-#include "gemm/tiled_driver.hpp"
+#include "gemm/plan.hpp"
+#include "plan_gemm.hpp"
 
 namespace m3xu::gemm {
 namespace {
@@ -40,7 +41,7 @@ TEST_P(TileSweep, BitIdenticalToFlatEngineLoop) {
   engine.gemm_fp32(100, 90, 130, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
                    flat.data(), flat.ld());
   Matrix<float> tiled = p.c;
-  tiled_sgemm(engine, GetParam(), p.a, p.b, tiled);
+  plan_gemm(engine, GetParam(), p.a, p.b, tiled);
   for (int i = 0; i < 100; ++i) {
     for (int j = 0; j < 90; ++j) {
       ASSERT_EQ(bits_of(tiled(i, j)), bits_of(flat(i, j))) << i << "," << j;
@@ -65,7 +66,7 @@ TEST(TiledGemm, StatsMatchGeometry) {
   const Problem p = make(256, 128, 64, 502);
   Matrix<float> c = p.c;
   const TileConfig cfg{128, 128, 32, 64, 32};
-  const TiledGemmStats s = tiled_sgemm(engine, cfg, p.a, p.b, c);
+  const TiledGemmStats s = plan_gemm(engine, cfg, p.a, p.b, c);
   EXPECT_EQ(s.block_tiles, 2);             // 256/128 x 128/128
   EXPECT_EQ(s.mainloop_iterations, 2 * 2);  // K=64 / block_k=32 per tile
   // Staged bytes: per tile-iteration (block_m + block_n) * block_k * 4.
@@ -81,7 +82,7 @@ TEST(TiledGemm, RaggedEdgesBitIdenticalToFlatLoop) {
   engine.gemm_fp32(77, 45, 53, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
                    flat.data(), flat.ld());
   Matrix<float> c = p.c;
-  tiled_sgemm(engine, TileConfig{64, 64, 16, 32, 32}, p.a, p.b, c);
+  plan_gemm(engine, TileConfig{64, 64, 16, 32, 32}, p.a, p.b, c);
   for (int i = 0; i < 77; ++i) {
     for (int j = 0; j < 45; ++j) {
       ASSERT_EQ(bits_of(c(i, j)), bits_of(flat(i, j))) << i << "," << j;
@@ -104,7 +105,7 @@ TEST(TiledGemm, ComplexBitIdenticalToFlatLoop) {
   Matrix<std::complex<float>> flat = c;
   engine.gemm_fp32c(m, n, k, a.data(), k, b.data(), n, flat.data(), n);
   Matrix<std::complex<float>> tiled = c;
-  tiled_cgemm(engine, TileConfig{32, 32, 8, 16, 16}, a, b, tiled);
+  plan_gemm(engine, TileConfig{32, 32, 8, 16, 16}, a, b, tiled);
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       ASSERT_EQ(bits_of(tiled(i, j).real()), bits_of(flat(i, j).real()));
@@ -120,8 +121,8 @@ TEST(TiledGemm, RepeatedRunsAreDeterministic) {
   const Problem p = make(130, 130, 64, 505);
   Matrix<float> c1 = p.c, c2 = p.c;
   const TileConfig cfg{64, 64, 32, 32, 32};
-  tiled_sgemm(engine, cfg, p.a, p.b, c1);
-  tiled_sgemm(engine, cfg, p.a, p.b, c2);
+  plan_gemm(engine, cfg, p.a, p.b, c1);
+  plan_gemm(engine, cfg, p.a, p.b, c2);
   for (int i = 0; i < 130; ++i) {
     for (int j = 0; j < 130; ++j) {
       ASSERT_EQ(bits_of(c1(i, j)), bits_of(c2(i, j)));
@@ -136,9 +137,9 @@ TEST(TiledGemm, AbftCleanPathBitIdenticalWithZeroCounters) {
   const Problem p = make(100, 90, 130, 507);
   const TileConfig cfg{64, 64, 16, 32, 32};
   Matrix<float> plain = p.c, guarded = p.c;
-  const TiledGemmStats s0 = tiled_sgemm(engine, cfg, p.a, p.b, plain);
+  const TiledGemmStats s0 = plan_gemm(engine, cfg, p.a, p.b, plain);
   const TiledGemmStats s1 =
-      tiled_sgemm(engine, cfg, AbftConfig{true, 1.0, 2}, p.a, p.b, guarded);
+      plan_gemm(engine, cfg, p.a, p.b, guarded, AbftConfig{true, 1.0});
   for (int i = 0; i < 100; ++i) {
     for (int j = 0; j < 90; ++j) {
       ASSERT_EQ(bits_of(guarded(i, j)), bits_of(plain(i, j))) << i << "," << j;
@@ -166,9 +167,9 @@ TEST(TiledGemm, AbftCleanPathComplexBitIdentical) {
   fill_random(c, rng);
   Matrix<std::complex<float>> plain = c, guarded = c;
   const TileConfig cfg{32, 32, 8, 16, 16};
-  tiled_cgemm(engine, cfg, a, b, plain);
+  plan_gemm(engine, cfg, a, b, plain);
   const TiledGemmStats s =
-      tiled_cgemm(engine, cfg, AbftConfig{true, 1.0, 2}, a, b, guarded);
+      plan_gemm(engine, cfg, a, b, guarded, AbftConfig{true, 1.0});
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       ASSERT_EQ(bits_of(guarded(i, j).real()), bits_of(plain(i, j).real()));
@@ -192,7 +193,7 @@ TEST(TiledGemm, AbftMultiColumnGridSharesRowChecksums) {
                    flat.data(), flat.ld());
   Matrix<float> guarded = p.c;
   const TiledGemmStats s =
-      tiled_sgemm(engine, cfg, AbftConfig{true, 1.0, 2}, p.a, p.b, guarded);
+      plan_gemm(engine, cfg, p.a, p.b, guarded, AbftConfig{true, 1.0});
   for (int i = 0; i < 96; ++i) {
     for (int j = 0; j < 130; ++j) {
       ASSERT_EQ(bits_of(guarded(i, j)), bits_of(flat(i, j))) << i << "," << j;
@@ -213,7 +214,7 @@ TEST(TiledGemm, AbftMultiTileRecoversUnderInjection) {
   const TileConfig cfg{48, 48, 24, 24, 24};
   const core::M3xuEngine clean;
   Matrix<float> ref = p.c;
-  tiled_sgemm(clean, cfg, p.a, p.b, ref);
+  plan_gemm(clean, cfg, p.a, p.b, ref);
 
   const fault::FaultInjector inj(37, fault::SiteRates::uniform(1e-4));
   core::M3xuConfig mcfg;
@@ -221,7 +222,7 @@ TEST(TiledGemm, AbftMultiTileRecoversUnderInjection) {
   const core::M3xuEngine faulty(mcfg);
   Matrix<float> c = p.c;
   const TiledGemmStats s =
-      tiled_sgemm(faulty, cfg, AbftConfig{true, 1.0, 4}, p.a, p.b, c);
+      plan_gemm(faulty, cfg, p.a, p.b, c, AbftConfig{true, 1.0});
   EXPECT_EQ(s.block_tiles, 4);
   ASSERT_GT(inj.total_injected(), 0u);
   ASSERT_GT(s.abft_detected, 0);
@@ -233,14 +234,20 @@ TEST(TiledGemm, AbftMultiTileRecoversUnderInjection) {
   }
 }
 
+/// Compiles an sgemm plan (32^3 by default) with `tile`: compile is
+/// where every tile config is validated.
+GemmPlan compile_with(const TileConfig& tile,
+                      const PlanKey& key = PlanKey{32, 32, 32}) {
+  PlanOptions options;
+  options.tile = tile;
+  return GemmPlan::compile(core::M3xuConfig{}, key, options);
+}
+
 TEST(TiledGemm, InvalidTileConfigReportsClearMessage) {
-  const core::M3xuEngine engine;
-  const Problem p = make(32, 32, 32, 509);
-  Matrix<float> c = p.c;
   const ScopedCheckHandler guard(&throwing_check_failure_handler);
   try {
     // warp_m does not divide block_m.
-    tiled_sgemm(engine, TileConfig{48, 32, 16, 32, 16}, p.a, p.b, c);
+    compile_with(TileConfig{48, 32, 16, 32, 16});
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("TileConfig invalid"),
@@ -249,18 +256,19 @@ TEST(TiledGemm, InvalidTileConfigReportsClearMessage) {
 }
 
 TEST(TiledGemm, ShapeMismatchReportsClearMessage) {
-  const core::M3xuEngine engine;
   Rng rng(510);
   Matrix<float> a(32, 16), b(24, 32), c(32, 32);  // A.cols != B.rows
   fill_random(a, rng);
   fill_random(b, rng);
   fill_random(c, rng);
+  const GemmPlan plan =
+      compile_with(TileConfig{32, 32, 16, 16, 16}, PlanKey{32, 32, 16});
   const ScopedCheckHandler guard(&throwing_check_failure_handler);
   try {
-    tiled_sgemm(engine, TileConfig{32, 32, 16, 16, 16}, a, b, c);
+    plan.execute(a, b, c);
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("A columns != B rows"),
+    EXPECT_NE(std::string(e.what()).find("GemmPlan shape mismatch"),
               std::string::npos);
   }
 }
@@ -289,28 +297,16 @@ TEST(TileConfigValid, RejectsNonPositiveFieldsWithoutUb) {
 }
 
 TEST(TiledGemm, ZeroWarpTileFailsTheEntryCheckCleanly) {
-  // The driver's M3XU_CHECK path must reach the handler (and not trip
+  // Plan compile's M3XU_CHECK path must reach the handler (and not trip
   // UB inside valid()) for the same malformed configs.
-  const core::M3xuEngine engine;
-  const Problem p = make(32, 32, 32, 511);
-  Matrix<float> c = p.c;
   const ScopedCheckHandler guard(&throwing_check_failure_handler);
-  EXPECT_THROW(
-      tiled_sgemm(engine, TileConfig{64, 64, 16, 0, 32}, p.a, p.b, c),
-      CheckError);
-  EXPECT_THROW(
-      tiled_sgemm(engine, TileConfig{64, 64, -8, 32, 32}, p.a, p.b, c),
-      CheckError);
+  EXPECT_THROW(compile_with(TileConfig{64, 64, 16, 0, 32}), CheckError);
+  EXPECT_THROW(compile_with(TileConfig{64, 64, -8, 32, 32}), CheckError);
 }
 
 TEST(TiledGemm, RejectsMisalignedBlockK) {
-  const core::M3xuEngine engine;
-  const Problem p = make(32, 32, 32, 506);
-  Matrix<float> c = p.c;
   // block_k must be a multiple of the FP32 instruction K (8).
-  EXPECT_DEATH(tiled_sgemm(engine, TileConfig{32, 32, 12, 16, 16}, p.a, p.b,
-                           c),
-               "");
+  EXPECT_DEATH(compile_with(TileConfig{32, 32, 12, 16, 16}), "");
 }
 
 }  // namespace

@@ -16,9 +16,9 @@
 #include "gemm/matrix.hpp"
 #include "gemm/panel_cache.hpp"
 #include "gemm/recovery.hpp"
-#include "gemm/tiled_driver.hpp"
 #include "serve/pack_cache.hpp"
 #include "telemetry/telemetry.hpp"
+#include "plan_gemm.hpp"
 
 namespace m3xu::serve {
 namespace {
@@ -199,24 +199,22 @@ TEST(PackCacheDriver, CachedRunsAreBitIdenticalToUncached) {
   const gemm::TileConfig tile{32, 32, 32, 16, 16};
   gemm::AbftConfig abft;
   abft.enable = true;
-  gemm::RecoveryPolicy policy;
-  policy.demote = true;
+  const gemm::RecoveryPolicy policy;
 
   gemm::Matrix<float> c_plain = c0;
-  gemm::tiled_sgemm(engine, tile, abft, policy, gemm::ExecConfig{}, a, b,
-                    c_plain);
+  gemm::plan_gemm(engine, tile, a, b, c_plain, abft, policy);
 
   PackCache cache(64);
-  gemm::ExecConfig exec;
+  gemm::ExecRails exec;
   exec.b_cache = &cache;
   exec.b_key = 0xB0B;
 
   gemm::Matrix<float> c_cold = c0;
-  gemm::tiled_sgemm(engine, tile, abft, policy, exec, a, b, c_cold);
+  gemm::plan_gemm(engine, tile, a, b, c_cold, abft, policy, exec);
   EXPECT_GT(cache.size(), 0u);  // the cold run populated the cache
 
   gemm::Matrix<float> c_warm = c0;
-  gemm::tiled_sgemm(engine, tile, abft, policy, exec, a, b, c_warm);
+  gemm::plan_gemm(engine, tile, a, b, c_warm, abft, policy, exec);
   EXPECT_GT(cache.hits(), 0u);  // the warm run actually hit
 
   ASSERT_EQ(std::memcmp(c_plain.data(), c_cold.data(),
@@ -240,22 +238,20 @@ TEST(PackCacheDriver, ComplexCachedRunsAreBitIdenticalToUncached) {
   const gemm::TileConfig tile{16, 16, 32, 16, 16};
   gemm::AbftConfig abft;
   abft.enable = true;
-  gemm::RecoveryPolicy policy;
-  policy.demote = true;
+  const gemm::RecoveryPolicy policy;
 
   gemm::Matrix<std::complex<float>> c_plain = c0;
-  gemm::tiled_cgemm(engine, tile, abft, policy, gemm::ExecConfig{}, a, b,
-                    c_plain);
+  gemm::plan_gemm(engine, tile, a, b, c_plain, abft, policy);
 
   PackCache cache(64);
-  gemm::ExecConfig exec;
+  gemm::ExecRails exec;
   exec.b_cache = &cache;
   exec.b_key = 0xC0C;
 
   gemm::Matrix<std::complex<float>> c_cold = c0;
-  gemm::tiled_cgemm(engine, tile, abft, policy, exec, a, b, c_cold);
+  gemm::plan_gemm(engine, tile, a, b, c_cold, abft, policy, exec);
   gemm::Matrix<std::complex<float>> c_warm = c0;
-  gemm::tiled_cgemm(engine, tile, abft, policy, exec, a, b, c_warm);
+  gemm::plan_gemm(engine, tile, a, b, c_warm, abft, policy, exec);
   EXPECT_GT(cache.hits(), 0u);
 
   ASSERT_EQ(std::memcmp(c_plain.data(), c_cold.data(),
@@ -283,21 +279,21 @@ TEST(PackCacheDriver, CorruptionBetweenRunsStillYieldsBitIdenticalResult) {
   const gemm::TileConfig tile{32, 32, 32, 16, 16};
 
   gemm::Matrix<float> c_plain = c0;
-  gemm::tiled_sgemm(engine, tile, gemm::AbftConfig{}, gemm::RecoveryPolicy{},
-                    gemm::ExecConfig{}, a, b, c_plain);
+  gemm::plan_gemm(engine, tile, a, b, c_plain, gemm::AbftConfig{},
+                  gemm::RecoveryPolicy{});
 
   PackCache cache(64);
-  gemm::ExecConfig exec;
+  gemm::ExecRails exec;
   exec.b_cache = &cache;
   exec.b_key = 0xDEAD;
   gemm::Matrix<float> c_cold = c0;
-  gemm::tiled_sgemm(engine, tile, gemm::AbftConfig{}, gemm::RecoveryPolicy{},
-                    exec, a, b, c_cold);
+  gemm::plan_gemm(engine, tile, a, b, c_cold, gemm::AbftConfig{},
+                  gemm::RecoveryPolicy{}, exec);
   ASSERT_TRUE(cache.corrupt_one(0xDEAD));
   const std::uint64_t drops_before = cache.corrupt_dropped();
   gemm::Matrix<float> c_after = c0;
-  gemm::tiled_sgemm(engine, tile, gemm::AbftConfig{}, gemm::RecoveryPolicy{},
-                    exec, a, b, c_after);
+  gemm::plan_gemm(engine, tile, a, b, c_after, gemm::AbftConfig{},
+                  gemm::RecoveryPolicy{}, exec);
   EXPECT_GT(cache.corrupt_dropped(), drops_before);
   ASSERT_EQ(std::memcmp(c_plain.data(), c_after.data(),
                         sizeof(float) * static_cast<std::size_t>(m) * n),

@@ -15,8 +15,8 @@
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "gemm/matrix.hpp"
-#include "gemm/tiled_driver.hpp"
 #include "serve/server.hpp"
+#include "plan_gemm.hpp"
 
 namespace m3xu::serve {
 namespace {
@@ -75,7 +75,7 @@ TEST(GemmServer, SgemmRequestCompletesOkBitIdenticalToDirectRun) {
   const ServerConfig cfg = base_config();
   const core::M3xuEngine direct_engine{cfg.engine};
   Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(direct_engine, cfg.tile, p.a, p.b, ref);
+  gemm::plan_gemm(direct_engine, cfg.tile, p.a, p.b, ref);
 
   GemmServer server(cfg);
   const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
@@ -96,7 +96,7 @@ TEST(GemmServer, CgemmRequestCompletesOk) {
   const ServerConfig cfg = base_config();
   const core::M3xuEngine direct_engine{cfg.engine};
   Matrix<C> ref = c0;
-  gemm::tiled_cgemm(direct_engine, cfg.tile, a, b, ref);
+  gemm::plan_gemm(direct_engine, cfg.tile, a, b, ref);
 
   GemmServer server(cfg);
   const RequestHandle req = server.submit_cgemm(a, b, c0);
@@ -135,8 +135,8 @@ TEST(GemmServer, ConcurrentTenantsAllReachOkWithCorrectResults) {
   for (int t = 0; t < kTenants; ++t) {
     problems.push_back(make(48, 48, 64, 100 + static_cast<std::uint64_t>(t)));
     Matrix<float> ref = problems.back().c;
-    gemm::tiled_sgemm(direct_engine, cfg.tile, problems.back().a,
-                      problems.back().b, ref);
+    gemm::plan_gemm(direct_engine, cfg.tile, problems.back().a,
+                    problems.back().b, ref);
     refs.push_back(std::move(ref));
   }
 
@@ -382,7 +382,7 @@ TEST(GemmServer, PackCacheCoalescesSameWeightsRequests) {
   const core::M3xuEngine direct_engine{cfg.engine};
   const Problem p = make(64, 64, 64, 14);
   Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(direct_engine, cfg.tile, p.a, p.b, ref);
+  gemm::plan_gemm(direct_engine, cfg.tile, p.a, p.b, ref);
 
   GemmServer server(cfg);
   RequestOptions opts;
@@ -405,7 +405,7 @@ TEST(GemmServer, CorruptedSharedPanelIsRepackedNotServed) {
   const core::M3xuEngine direct_engine{cfg.engine};
   const Problem p = make(64, 64, 64, 15);
   Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(direct_engine, cfg.tile, p.a, p.b, ref);
+  gemm::plan_gemm(direct_engine, cfg.tile, p.a, p.b, ref);
 
   GemmServer server(cfg);
   RequestOptions opts;
@@ -489,7 +489,7 @@ TEST(GemmServer, RepeatedShapesReuseOneCompiledPlan) {
   const core::M3xuEngine direct_engine{cfg.engine};
   const Problem p = make(64, 64, 64, 19);
   Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(direct_engine, cfg.tile, p.a, p.b, ref);
+  gemm::plan_gemm(direct_engine, cfg.tile, p.a, p.b, ref);
 
   GemmServer server(cfg);
   EXPECT_EQ(server.plan_count(), 0u);

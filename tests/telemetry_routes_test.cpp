@@ -18,8 +18,8 @@
 #include "core/microkernel.hpp"
 #include "core/mxu.hpp"
 #include "gemm/matrix.hpp"
-#include "gemm/tiled_driver.hpp"
 #include "telemetry/telemetry.hpp"
+#include "plan_gemm.hpp"
 
 namespace telemetry = m3xu::telemetry;
 using m3xu::Rng;
@@ -64,7 +64,7 @@ TEST(TelemetryRoutes, TiledSgemmStatsMatchEngineCounters) {
   const M3xuEngine engine;
   const m3xu::gemm::TileConfig cfg;
   const telemetry::Snapshot before = telemetry::snapshot();
-  const TiledGemmStats stats = m3xu::gemm::tiled_sgemm(engine, cfg, a, b, c);
+  const TiledGemmStats stats = m3xu::gemm::plan_gemm(engine, cfg, a, b, c);
   const telemetry::Snapshot after = telemetry::snapshot();
   ASSERT_GT(stats.mma_instructions, 0);
   const m3xu::core::MmaShape shape =
@@ -102,7 +102,7 @@ TEST(TelemetryRoutes, TiledSgemmUnalignedGeometry) {
     chunks += static_cast<std::uint64_t>((kc + inst_k - 1) / inst_k);
   }
   const telemetry::Snapshot before = telemetry::snapshot();
-  const TiledGemmStats stats = m3xu::gemm::tiled_sgemm(engine, cfg, a, b, c);
+  const TiledGemmStats stats = m3xu::gemm::plan_gemm(engine, cfg, a, b, c);
   const telemetry::Snapshot after = telemetry::snapshot();
   const m3xu::core::MmaShape shape =
       m3xu::core::shape_for(m3xu::core::MxuMode::kFp32);
@@ -161,7 +161,7 @@ TEST(TelemetryRoutes, UnalignedCgemmCountsEveryOutputOnce) {
     ++kblocks;
   }
   const telemetry::Snapshot before = telemetry::snapshot();
-  const TiledGemmStats stats = m3xu::gemm::tiled_cgemm(engine, cfg, a, b, c);
+  const TiledGemmStats stats = m3xu::gemm::plan_gemm(engine, cfg, a, b, c);
   const telemetry::Snapshot after = telemetry::snapshot();
   ASSERT_GT(stats.mma_instructions, 0);
   const m3xu::core::MmaShape shape =
@@ -204,7 +204,7 @@ TEST(TelemetryRoutes, TiledCgemmStatsMatchEngineCounters) {
   cfg.warp_m = 32;
   cfg.warp_n = 32;
   const telemetry::Snapshot before = telemetry::snapshot();
-  const TiledGemmStats stats = m3xu::gemm::tiled_cgemm(engine, cfg, a, b, c);
+  const TiledGemmStats stats = m3xu::gemm::plan_gemm(engine, cfg, a, b, c);
   const telemetry::Snapshot after = telemetry::snapshot();
   ASSERT_GT(stats.mma_instructions, 0);
   const m3xu::core::MmaShape shape =
@@ -255,7 +255,7 @@ TEST(TelemetryRoutes, AbftCountersMirrorStats) {
   abft.enable = true;
   const telemetry::Snapshot before = telemetry::snapshot();
   const TiledGemmStats stats =
-      m3xu::gemm::tiled_sgemm(engine, cfg, abft, a, b, c);
+      m3xu::gemm::plan_gemm(engine, cfg, a, b, c, abft);
   const telemetry::Snapshot after = telemetry::snapshot();
   ASSERT_GT(stats.abft_tile_checks, 0);
 #if M3XU_TELEMETRY_ENABLED
