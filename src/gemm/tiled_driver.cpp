@@ -536,20 +536,27 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecRails& rails,
         // would depend on thread interleaving. Each tile instead
         // gets a private injector seeded from
         // Rng(retry_seed ^ primary seed).split(tile) - a pure
-        // function of (seeds, tile index).
+        // function of (seeds, tile index). It and its engine are
+        // built on the first primary-rung attempt, so a ladder that
+        // goes straight to the scalar rung builds neither; without
+        // an injector the primary engine retries as it is.
         std::optional<fault::FaultInjector> retry_inj;
-        core::M3xuConfig retry_base = engine.config();
-        if (retry_base.injector != nullptr) {
-          retry_inj.emplace(Rng(policy.retry_seed ^
-                                retry_base.injector->seed())
-                                .split(static_cast<std::uint64_t>(t))
-                                .seed(),
-                            retry_base.injector->rates());
-          retry_inj->stall_duration_ms =
-              retry_base.injector->stall_duration_ms;
-          retry_base.injector = &*retry_inj;
-        }
-        const core::M3xuEngine retry_eng(retry_base);
+        std::optional<core::M3xuEngine> retry_eng;
+        const auto primary_retry_engine = [&]() -> const core::M3xuEngine& {
+          const fault::FaultInjector* inj = engine.config().injector;
+          if (inj == nullptr) return engine;
+          if (!retry_eng) {
+            retry_inj.emplace(Rng(policy.retry_seed ^ inj->seed())
+                                  .split(static_cast<std::uint64_t>(t))
+                                  .seed(),
+                              inj->rates());
+            retry_inj->stall_duration_ms = inj->stall_duration_ms;
+            core::M3xuConfig retry_cfg = engine.config();
+            retry_cfg.injector = &*retry_inj;
+            retry_eng.emplace(retry_cfg);
+          }
+          return *retry_eng;
+        };
         bool false_alarm = false;
         Route rung = start_route;
         int total_attempts = 0;
@@ -565,8 +572,8 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecRails& rails,
               trace->event("recovery.retry", static_cast<long>(t),
                            static_cast<long>(rung));
             }
-            compute_tile(scalar_clean ? clean : retry_eng, rung, redo,
-                         nullptr, /*allow_cache=*/false);
+            compute_tile(scalar_clean ? clean : primary_retry_engine(),
+                         rung, redo, nullptr, /*allow_cache=*/false);
             ++local.abft_recomputed;
             ++local.recovery.retries;
             ++total_attempts;

@@ -42,8 +42,9 @@ struct TileConfig {
 
   bool valid() const {
     // Positivity first: the divisibility checks below are UB on a zero
-    // warp tile, and an autotuner search enumerates exactly that kind
-    // of malformed candidate. A validator must be safe on any input.
+    // warp tile, and plan compile validates caller-supplied tiles, so
+    // it can see exactly that kind of malformed input. A validator
+    // must be safe on any input.
     if (block_m <= 0 || block_n <= 0 || block_k <= 0 || warp_m <= 0 ||
         warp_n <= 0) {
       return false;

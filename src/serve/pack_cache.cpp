@@ -90,8 +90,7 @@ std::size_t PackCache::KeyHash::operator()(const gemm::PanelKey& k) const {
   return static_cast<std::size_t>(w.h);
 }
 
-PackCache::PackCache(std::size_t capacity, bool verify)
-    : capacity_(capacity), verify_(verify) {
+PackCache::PackCache(std::size_t capacity) : capacity_(capacity) {
   M3XU_CHECK_MSG(capacity_ > 0, "PackCache capacity must be positive");
 }
 
@@ -105,7 +104,7 @@ bool PackCache::get_impl(const gemm::PanelKey& key, Panel* out) {
     return false;
   }
   Entry& entry = it->second;
-  if (verify_ && checksum_panel(entry.*Member) != entry.checksum) {
+  if (checksum_panel(entry.*Member) != entry.checksum) {
     // A corrupted panel must never be served: drop the entry so the
     // caller's repack replaces it, and make the event visible.
     lru_.erase(entry.lru_it);

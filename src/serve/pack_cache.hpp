@@ -29,10 +29,9 @@ namespace m3xu::serve {
 
 class PackCache final : public gemm::PanelCache {
  public:
-  /// `capacity` = max cached panels (LRU eviction past it). `verify`
-  /// re-checksums entries on every get; disabling trades the integrity
-  /// guarantee for lookup speed (tests and the chaos bench keep it on).
-  explicit PackCache(std::size_t capacity, bool verify = true);
+  /// `capacity` = max cached panels (LRU eviction past it). Every get
+  /// re-checksums the entry, so a corrupted panel is never served.
+  explicit PackCache(std::size_t capacity);
 
   bool get_fp32(const gemm::PanelKey& key,
                 core::PackedPanelFp32B* out) override;
@@ -78,7 +77,6 @@ class PackCache final : public gemm::PanelCache {
   void put_impl(const gemm::PanelKey& key, const Panel& panel);
 
   const std::size_t capacity_;
-  const bool verify_;
   mutable std::mutex mu_;
   std::list<gemm::PanelKey> lru_;  // front = most recently used
   std::unordered_map<gemm::PanelKey, Entry, KeyHash> entries_;

@@ -77,7 +77,7 @@ RequestStatus status_for_cancel(CancelReason reason) {
 
 GemmServer::GemmServer(const ServerConfig& config)
     : config_(config),
-      cache_(config.pack_cache_entries, config.pack_cache_verify),
+      cache_(config.pack_cache_entries),
       slo_(config.slo),
       queue_(config.queue_capacity, config.admission) {
   M3XU_CHECK_MSG(config_.executors >= 1,

@@ -78,10 +78,9 @@ struct ServerConfig {
   /// LRU capacity of each tenant's per-grid TileQuarantine.
   std::size_t quarantine_tiles_per_tenant =
       gemm::TileQuarantine::kDefaultCapacity;
-  /// Shared prepacked-B cache: max cached panels, and whether hits
-  /// re-verify the entry checksum.
+  /// Shared prepacked-B cache: max cached panels. Every hit
+  /// re-verifies the entry checksum.
   std::size_t pack_cache_entries = 256;
-  bool pack_cache_verify = true;
   /// Engine configuration for the primary datapath. May carry a fault
   /// injector (chaos benches do); ABFT recomputes and the terminal
   /// scalar rung always run a fault-free clone.

@@ -2,10 +2,11 @@
 // metrics/bench JSON artifact (BENCH_gemm.json, the metrics export,
 // the Chrome trace), replacing per-bench string concatenation - plus
 // its read-side counterpart, a small recursive-descent parser
-// (JsonValue::parse) for artifacts the toolchain reads back, e.g. the
-// autotuner's persisted tuned-config cache. The writer produces
-// pretty-printed, key-ordered output; the writer tracks nesting and
-// comma placement so callers only name structure.
+// (JsonValue::parse) that reads exported artifacts back: the telemetry,
+// trace and SLO tests parse the metrics export, request traces and
+// the SLO report with it. The writer produces pretty-printed,
+// key-ordered output; it tracks nesting and comma placement so
+// callers only name structure.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +70,9 @@ class JsonWriter {
 };
 
 /// Parsed JSON document node. The accessors are total: a type-mismatch
-/// read returns the caller's fallback instead of throwing, so loaders
-/// validating untrusted artifacts (the autotune cache survives stray
-/// edits and truncation) can probe fields and reject gracefully.
+/// read returns the caller's fallback instead of throwing, so a reader
+/// checking an exported document (the metrics export, a request trace)
+/// can probe fields that may be absent and fail with a clear message.
 /// Object key order is preserved; duplicate keys keep the last value
 /// on lookup.
 class JsonValue {

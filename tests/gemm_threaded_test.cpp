@@ -156,7 +156,7 @@ TEST(ThreadedDriver, PlanExecuteHonorsRailsPool) {
 }
 
 TEST(ThreadedDriver, ForcedRegisterBlockShapesStayPoolInvariant) {
-  // Dispatch overrides (the autotuner's stage-2 levers) compose with
+  // Register-block overrides (M3xuConfig::mk_mr/mk_nr) compose with
   // threading: every supported MRxNR shape is bit-identical across
   // pool sizes.
   const Problem<float> p = make<float>(96, 80, 64, 906);

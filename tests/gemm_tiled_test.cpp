@@ -34,7 +34,7 @@ class TileSweep : public ::testing::TestWithParam<TileConfig> {};
 
 TEST_P(TileSweep, BitIdenticalToFlatEngineLoop) {
   // Same K-chunk rounding boundaries -> the hierarchy is invisible to
-  // the arithmetic.
+  // the arithmetic, for sgemm and cgemm alike.
   const core::M3xuEngine engine;
   const Problem p = make(100, 90, 130, 501);
   Matrix<float> flat = p.c;
@@ -47,14 +47,38 @@ TEST_P(TileSweep, BitIdenticalToFlatEngineLoop) {
       ASSERT_EQ(bits_of(tiled(i, j)), bits_of(flat(i, j))) << i << "," << j;
     }
   }
+
+  const int m = 70, n = 60, k = 90;
+  Rng rng(505);
+  Matrix<std::complex<float>> a(m, k), b(k, n), c(m, n);
+  fill_random(a, rng);
+  fill_random(b, rng);
+  fill_random(c, rng);
+  Matrix<std::complex<float>> cflat = c;
+  engine.gemm_fp32c(m, n, k, a.data(), a.ld(), b.data(), b.ld(), cflat.data(),
+                    cflat.ld());
+  Matrix<std::complex<float>> ctiled = c;
+  plan_gemm(engine, GetParam(), a, b, ctiled);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      ASSERT_EQ(bits_of(ctiled(i, j).real()), bits_of(cflat(i, j).real()))
+          << "cgemm " << i << "," << j;
+      ASSERT_EQ(bits_of(ctiled(i, j).imag()), bits_of(cflat(i, j).imag()))
+          << "cgemm " << i << "," << j;
+    }
+  }
 }
 
+// {128,128,16,128,128} runs one warp tile over the whole block;
+// {32,32,64,16,16} stages a K-depth twice the block's width.
 INSTANTIATE_TEST_SUITE_P(
     Tiles, TileSweep,
     ::testing::Values(TileConfig{64, 64, 16, 32, 32},
                       TileConfig{128, 128, 32, 64, 32},
                       TileConfig{32, 32, 8, 16, 16},
-                      TileConfig{128, 64, 64, 32, 64}),
+                      TileConfig{128, 64, 64, 32, 64},
+                      TileConfig{128, 128, 16, 128, 128},
+                      TileConfig{32, 32, 64, 16, 16}),
     [](const auto& info) {
       return "b" + std::to_string(info.param.block_m) + "x" +
              std::to_string(info.param.block_n) + "x" +
@@ -275,9 +299,9 @@ TEST(TiledGemm, ShapeMismatchReportsClearMessage) {
 
 TEST(TileConfigValid, RejectsNonPositiveFieldsWithoutUb) {
   // Regression: valid() used to run the % divisibility checks before
-  // checking positivity, which is UB (division by zero) on the zero
-  // warp tiles an autotuner search enumerates. Under the UBSan CI
-  // matrix this test fails loudly if that ordering ever regresses.
+  // checking positivity, which is UB (division by zero) on a zero warp
+  // tile a caller can pass to plan compile. Under the UBSan CI matrix
+  // this test fails loudly if that ordering ever regresses.
   EXPECT_TRUE(TileConfig{}.valid());
   const auto mutate = [](int TileConfig::* field, int value) {
     TileConfig tile{};

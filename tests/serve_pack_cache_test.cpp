@@ -125,18 +125,6 @@ TEST(PackCache, CorruptedEntryIsDroppedNotServed) {
   EXPECT_TRUE(lanes_equal(out.like, make_panel(7).like));
 }
 
-TEST(PackCache, CorruptionServedWhenVerifyDisabled) {
-  // Documents the trade: verify=false skips the integrity re-check, so
-  // the corrupted panel is served. Serving keeps verify on.
-  PackCache cache(8, /*verify=*/false);
-  cache.put_fp32(key_for(7), make_panel(7));
-  ASSERT_TRUE(cache.corrupt_one(7));
-  core::PackedPanelFp32B out;
-  EXPECT_TRUE(cache.get_fp32(key_for(7), &out));
-  EXPECT_FALSE(lanes_equal(out.like, make_panel(7).like));
-  EXPECT_EQ(cache.corrupt_dropped(), 0u);
-}
-
 TEST(PackCache, ComplexPanelsKeyedSeparatelyFromReal) {
   PackCache cache(8);
   cache.put_fp32(key_for(1), make_panel(1));
